@@ -6,8 +6,6 @@
 //	overlapbench [-n dim] [-csv dir] [-trace file] [-metrics] [-noise] [experiment ...]
 //	overlapbench -validate-trace file
 //	overlapbench tune [-quick] [-table file] [-cells-csv file] [-cold] [-cache]
-//	overlapbench serve [-addr host:port] [-queue n] [-max-jobs n] [-worker-cap n]
-//	overlapbench loadbench [-cpu 1,2,4] [-clients n] [-jobs n] [-csv file]
 //	overlapbench mlwork [-quick] [-csv dir]
 //	overlapbench progress [-quick] [-csv dir]
 //	overlapbench bench-diff [-threshold pct] [-alloc-threshold pct] [-fail-on-regression] [-require-env-match] base.json current.json
@@ -48,16 +46,7 @@
 // content-addressed result store (internal/cache) the experiment paths
 // also consult, so repeated cells become hash lookups.
 //
-// The serve subcommand runs overlapbench as a long-running tuning service
-// (see internal/serve): an HTTP/JSON job API — POST /jobs, GET /jobs/{id},
-// /jobs/{id}/result, /jobs/{id}/events (NDJSON cell stream), /stats — over
-// the replica pool, with the cross-job result cache so the same cell is
-// never simulated twice, a bounded job queue (503 on overflow), a global
-// worker cap shared across concurrent jobs, and graceful drain on
-// SIGINT/SIGTERM. loadbench is the matching many-client load benchmark:
-// per -cpu worker width it measures one cold job then -clients concurrent
-// clients re-submitting it, asserting byte-identical responses and the
-// >= 90% warm cache-hit contract. bench-diff compares two bench-host artifacts; -threshold,
+// bench-diff compares two bench-host artifacts; -threshold,
 // -alloc-threshold and -fail-on-regression turn it into a gate whose timing
 // half arms only when both artifacts share an environment (cores, workers,
 // toolchain — otherwise it reports "env-mismatch: report-only", or errors
@@ -208,20 +197,6 @@ func realMain() int {
 		}
 		return 0
 	}
-	if len(exps) > 0 && exps[0] == "serve" {
-		if err := runServe(exps[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if len(exps) > 0 && exps[0] == "loadbench" {
-		if err := runLoadBench(exps[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "loadbench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
 	if len(exps) > 0 && exps[0] == "mlwork" {
 		if err := runMLWork(exps[1:], *csvDir); err != nil {
 			fmt.Fprintf(os.Stderr, "mlwork: %v\n", err)
@@ -250,7 +225,7 @@ func realMain() int {
 				"usage: overlapbench [flags] [experiment ...]\n"+
 				"experiments: fig3 fig4 fig5 fig6 table1 table2 table3 table4 table5\n"+
 				"             solver algos ablate sparse scaling topo paperscale tuned noise report all\n"+
-				"subcommands: tune serve loadbench mlwork progress bench-host bench-diff\n", e)
+				"subcommands: tune mlwork progress bench-host bench-diff\n", e)
 			return 2
 		}
 	}

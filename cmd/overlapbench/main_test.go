@@ -65,18 +65,8 @@ func TestCLIArgValidation(t *testing.T) {
 		{name: "progress quick with csv", args: []string{"progress", "-quick", "-csv", csvDir},
 			wantOK: true, wantOut: "progress/ppn",
 			wantFile: filepath.Join(csvDir, "progress.csv")},
-		{name: "serve trailing junk", args: []string{"serve", "junk"},
-			wantOut: "usage: overlapbench serve"},
-		{name: "serve unknown flag", args: []string{"serve", "-frobnicate"},
-			wantOut: "flag provided but not defined"},
-		{name: "loadbench trailing junk", args: []string{"loadbench", "junk"},
-			wantOut: "usage: overlapbench loadbench"},
-		{name: "loadbench bad cpu list", args: []string{"loadbench", "-cpu", "1,zero"},
-			wantOut: "comma-separated list of positive widths"},
-		{name: "loadbench single point", args: []string{"loadbench", "-cpu", "1", "-clients", "2", "-jobs", "1",
-			"-csv", filepath.Join(csvDir, "loadbench.csv")},
-			wantOK: true, wantOut: "Service load benchmark",
-			wantFile: filepath.Join(csvDir, "loadbench.csv")},
+		{name: "removed serve subcommand", args: []string{"serve"},
+			wantOut: `unknown experiment or subcommand "serve"`},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,13 +9,10 @@ import (
 	"testing"
 	"time"
 
-	"commoverlap/internal/cache"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/runner"
-	"commoverlap/internal/serve"
 	"commoverlap/internal/sim"
 	"commoverlap/internal/simnet"
-	"commoverlap/internal/tune"
 )
 
 // Host-performance benchmark: where the paper's experiments measure the
@@ -156,46 +152,6 @@ var hostMicro = []struct {
 			if err := eng.Run(); err != nil {
 				b.Fatal(err)
 			}
-		}
-	}},
-	{"serve/warm-job-http", func(b *testing.B) {
-		// The service path's hot loop: a warm tuning job over real HTTP —
-		// submit, poll, fetch — with every cell already in the cross-job
-		// result cache, so the number is the per-job service overhead
-		// (JSON, queueing, cache lookups), not simulation time. A cold job
-		// primes the store before the clock starts.
-		b.ReportAllocs()
-		srv := serve.New(serve.Config{Cache: cache.New(0)})
-		if err := srv.Start(); err != nil {
-			b.Fatal(err)
-		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx) //nolint:errcheck
-		}()
-		base := "http://" + srv.Addr()
-		req := serve.JobRequest{
-			Kernels: []tune.Kernel{{Op: "reduce", Bytes: 64 << 10, Nodes: 2}},
-			GridSpec: &tune.Grid{Name: "micro", NDups: []int{1, 2}, PPNs: []int{1},
-				LaunchPPN: 1, Protocols: []tune.Params{{}}},
-		}
-		roundtrip := func() {
-			id, err := serve.SubmitJob(base, req)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := serve.WaitJob(base, id, 200*time.Microsecond); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := serve.JobResult(base, id); err != nil {
-				b.Fatal(err)
-			}
-		}
-		roundtrip() // cold: fills the store
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			roundtrip()
 		}
 	}},
 }

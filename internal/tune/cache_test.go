@@ -2,7 +2,6 @@ package tune
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 
 	"commoverlap/internal/cache"
@@ -116,39 +115,6 @@ func TestInJobDedup(t *testing.T) {
 	}
 	if ref.Entries[0].Cells[0].BW != e0.Cells[0].BW || ref.Entries[0].Cells[1].BW != e0.Cells[1].BW {
 		t.Error("deduplicated cells differ from independently measured ones")
-	}
-}
-
-// TestOnCellStreaming: the OnCell callback sees every cell exactly once
-// with a monotone done counter that ends at the total, at any worker count.
-func TestOnCellStreaming(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		var mu sync.Mutex
-		var got []Cell
-		lastDone := 0
-		monotone := true
-		tab, err := Search(Options{
-			Grid: testGrid(), Kernels: testKernels(), Workers: workers,
-			OnCell: func(kernel string, c Cell, done, total int) {
-				mu.Lock()
-				defer mu.Unlock()
-				if kernel == "" || done != lastDone+1 || total <= 0 {
-					monotone = false
-				}
-				lastDone = done
-				got = append(got, c)
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, total := tab.WarmCount()
-		if len(got) != total {
-			t.Fatalf("workers=%d: OnCell saw %d cells, table has %d", workers, len(got), total)
-		}
-		if !monotone || lastDone != total {
-			t.Fatalf("workers=%d: done counter not monotone to total (last=%d total=%d)", workers, lastDone, total)
-		}
 	}
 }
 

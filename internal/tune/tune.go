@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"sync"
 
 	"commoverlap/internal/cache"
 	"commoverlap/internal/mesh"
@@ -562,14 +561,6 @@ type Options struct {
 	// Progress, when non-nil, receives one line per kernel as the search
 	// completes it.
 	Progress func(string)
-	// OnCell, when non-nil, streams cell completions: it receives the
-	// owning kernel's name, the finished cell, and the running
-	// (done, total) counts over the whole search. Calls are serialized by
-	// the search but arrive from worker goroutines in completion order,
-	// which varies with the worker count — only the final done == total
-	// set is deterministic. Duplicate cells report right after their
-	// leader completes.
-	OnCell func(kernel string, c Cell, done, total int)
 }
 
 // Search sweeps the grid over every kernel and returns the tuning table.
@@ -609,12 +600,10 @@ func Search(opts Options) (*Table, error) {
 	// copy the result. This holds even without a cross-job cache.
 	leaderOf := make(map[string]int) // hash -> leader case index
 	dupOf := make([]int, len(cases)) // case -> leader case index (-1 = leader)
-	followers := make(map[int][]int) // leader case index -> duplicate case indices
 	var leaders []int                // leader case indices, in case order
 	for i, cr := range cases {
 		if li, ok := leaderOf[cr.hash]; ok {
 			dupOf[i] = li
-			followers[li] = append(followers[li], i)
 			continue
 		}
 		leaderOf[cr.hash] = i
@@ -639,25 +628,6 @@ func Search(opts Options) (*Table, error) {
 		k := kernels[cr.ki]
 		costs[j] = float64(k.Nodes*opts.Grid.LaunchPPN) * float64(k.Bytes)
 	}
-	// emit streams one completed leader cell (and its duplicates) to
-	// OnCell, serialized across the pool's workers.
-	var mu sync.Mutex
-	done := 0
-	emit := func(li int, cell Cell) {
-		if opts.OnCell == nil {
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		done++
-		opts.OnCell(kernels[cases[li].ki].Name(), cell, done, len(cases))
-		for _, fi := range followers[li] {
-			dup := cell
-			dup.Dup = true
-			done++
-			opts.OnCell(kernels[cases[fi].ki].Name(), dup, done, len(cases))
-		}
-	}
 	leaderCells, err := runner.MapOrder(len(leaders), opts.Workers, runner.OrderByCostDesc(costs), func(j int) (Cell, error) {
 		li := leaders[j]
 		cr := cases[li]
@@ -670,7 +640,6 @@ func Search(opts Options) (*Table, error) {
 				// the same provenance hash the cache keys on.
 				opts.Cache.Put(cr.hash, bw)
 			}
-			emit(li, cell)
 			return cell, nil
 		}
 		var bw float64
@@ -683,11 +652,7 @@ func Search(opts Options) (*Table, error) {
 			bw, err = Measure(kernels[cr.ki], cr.params, opts.Grid.LaunchPPN)
 		}
 		cell.BW = bw
-		if err != nil {
-			return cell, err
-		}
-		emit(li, cell)
-		return cell, nil
+		return cell, err
 	})
 	if err != nil {
 		return nil, err
