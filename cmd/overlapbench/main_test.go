@@ -65,6 +65,10 @@ func TestCLIArgValidation(t *testing.T) {
 		{name: "progress quick with csv", args: []string{"progress", "-quick", "-csv", csvDir},
 			wantOK: true, wantOut: "progress/ppn",
 			wantFile: filepath.Join(csvDir, "progress.csv")},
+		{name: "negative n table3", args: []string{"-n", "-5", "table3"},
+			wantOut: "N = -5"},
+		{name: "negative n ablate", args: []string{"-n", "-5", "ablate"},
+			wantOut: "N = -5"},
 		{name: "removed serve subcommand", args: []string{"serve"},
 			wantOut: `unknown experiment or subcommand "serve"`},
 	}

@@ -4,9 +4,8 @@ import (
 	"io"
 
 	"commoverlap/internal/core"
+	"commoverlap/internal/machine"
 	"commoverlap/internal/mesh"
-	"commoverlap/internal/mpi"
-	"commoverlap/internal/sim"
 	"commoverlap/internal/simnet"
 )
 
@@ -23,45 +22,12 @@ type AblationRow struct {
 	TFlops float64
 }
 
-// kernelWithCfg runs the optimized kernel under a custom machine config.
-func kernelWithCfg(cfg simnet.Config, n, p, ndup, ppn int) (float64, error) {
-	return kernelWithWorld(cfg, n, p, ndup, ppn, nil)
-}
-
-// kernelWithWorld is kernelWithCfg with a hook to adjust the freshly built
-// world (per-job collective switch points and similar) before launch.
-func kernelWithWorld(cfg simnet.Config, n, p, ndup, ppn int, tweak func(*mpi.World)) (float64, error) {
-	dims := mesh.Cubic(p)
-	nodes := mesh.NodesNeeded(dims.Size(), ppn)
-	cfg.Nodes = nodes
-	eng := sim.NewEngine()
-	net, err := simnet.New(eng, cfg)
-	if err != nil {
-		return 0, err
-	}
-	w, err := mpi.NewWorld(net, dims.Size(), mesh.NaturalPlacement(dims.Size(), ppn))
-	if err != nil {
-		return 0, err
-	}
-	if tweak != nil {
-		tweak(w)
-	}
-	var worst float64
-	w.Launch(func(pr *mpi.Proc) {
-		env, err := core.NewEnv(pr, dims, core.Config{N: n, NDup: ndup, PPN: ppn})
-		if err != nil {
-			panic(err)
-		}
-		env.M.World.Barrier()
-		res := env.SymmSquareCube(core.Optimized, nil)
-		if res.Time > worst {
-			worst = res.Time
-		}
-	})
-	if err := eng.Run(); err != nil {
-		return 0, err
-	}
-	return core.KernelFlops(n) / worst / 1e12, nil
+// ablated runs the optimized kernel on a p-edge cubic mesh (n, N_DUP=ndup,
+// PPN=ppn) on the machine m describes — a non-default fabric, switch point
+// or placement — and returns its TFlops.
+func ablated(m machine.Spec, n, p, ndup, ppn int) (float64, error) {
+	kr, err := runKernel(m, mesh.Cubic(p), core.Config{N: n, NDup: ndup, PPN: ppn}, variant(core.Optimized))
+	return kr.TFlops, err
 }
 
 // Ablate sweeps the three knobs and prints the sensitivity table.
@@ -83,7 +49,7 @@ func Ablate(w io.Writer, n int) ([]AblationRow, error) {
 	cells, err := parcases(len(chunks), func(i int) (float64, error) {
 		cfg := simnet.DefaultConfig(1)
 		cfg.ChunkBytes = chunks[i]
-		return kernelWithCfg(cfg, n, 4, 4, 1)
+		return ablated(machine.Spec{Config: cfg}, n, 4, 4, 1)
 	})
 	if err != nil {
 		return rows, err
@@ -98,10 +64,7 @@ func Ablate(w io.Writer, n int) ([]AblationRow, error) {
 	//    replica pool like every other group.
 	limits := []int64{64 << 10, 1 << 30}
 	cells, err = parcases(len(limits), func(i int) (float64, error) {
-		lim := limits[i]
-		return kernelWithWorld(simnet.DefaultConfig(1), n, 4, 4, 1, func(w *mpi.World) {
-			w.ReduceLongMsg = lim
-		})
+		return ablated(machine.Spec{Config: simnet.DefaultConfig(1), ReduceLongMsg: limits[i]}, n, 4, 4, 1)
 	})
 	if err != nil {
 		return rows, err
@@ -118,7 +81,12 @@ func Ablate(w io.Writer, n int) ([]AblationRow, error) {
 	//    column (the reduce fibers) mostly on one node; round-robin spreads
 	//    it across nodes.
 	cells, err = parcases(2, func(i int) (float64, error) {
-		return kernelPlacement(simnet.DefaultConfig(1), n, 6, 4, 4, i == 1)
+		m := machine.Spec{Config: simnet.DefaultConfig(1)}
+		if i == 1 {
+			ranks := mesh.Cubic(6).Size()
+			m.Placement = mesh.RoundRobinPlacement(ranks, mesh.NodesNeeded(ranks, 4))
+		}
+		return ablated(m, n, 6, 4, 4)
 	})
 	if err != nil {
 		return rows, err
@@ -132,7 +100,7 @@ func Ablate(w io.Writer, n int) ([]AblationRow, error) {
 	cells, err = parcases(len(scales), func(i int) (float64, error) {
 		cfg := simnet.DefaultConfig(1)
 		cfg.ReduceRate *= scales[i]
-		return kernelWithCfg(cfg, n, 4, 4, 1)
+		return ablated(machine.Spec{Config: cfg}, n, 4, 4, 1)
 	})
 	if err != nil {
 		return rows, err
@@ -149,7 +117,7 @@ func Ablate(w io.Writer, n int) ([]AblationRow, error) {
 		if factors[i] > 0 {
 			cfg.CoreBandwidth = 64 * cfg.WireBandwidth / factors[i]
 		}
-		return kernelWithCfg(cfg, n, 4, 4, 1)
+		return ablated(machine.Spec{Config: cfg}, n, 4, 4, 1)
 	})
 	if err != nil {
 		return rows, err
@@ -164,42 +132,6 @@ func Ablate(w io.Writer, n int) ([]AblationRow, error) {
 		add("fabric core", label, cells[i])
 	}
 	return rows, nil
-}
-
-// kernelPlacement is kernelWithCfg with a selectable rank placement.
-func kernelPlacement(cfg simnet.Config, n, p, ndup, ppn int, roundRobin bool) (float64, error) {
-	dims := mesh.Cubic(p)
-	nodes := mesh.NodesNeeded(dims.Size(), ppn)
-	cfg.Nodes = nodes
-	placement := mesh.NaturalPlacement(dims.Size(), ppn)
-	if roundRobin {
-		placement = mesh.RoundRobinPlacement(dims.Size(), nodes)
-	}
-	eng := sim.NewEngine()
-	net, err := simnet.New(eng, cfg)
-	if err != nil {
-		return 0, err
-	}
-	w, err := mpi.NewWorld(net, dims.Size(), placement)
-	if err != nil {
-		return 0, err
-	}
-	var worst float64
-	w.Launch(func(pr *mpi.Proc) {
-		env, err := core.NewEnv(pr, dims, core.Config{N: n, NDup: ndup, PPN: ppn})
-		if err != nil {
-			panic(err)
-		}
-		env.M.World.Barrier()
-		res := env.SymmSquareCube(core.Optimized, nil)
-		if res.Time > worst {
-			worst = res.Time
-		}
-	})
-	if err := eng.Run(); err != nil {
-		return 0, err
-	}
-	return core.KernelFlops(n) / worst / 1e12, nil
 }
 
 func byteLabel(b int64) string {

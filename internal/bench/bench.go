@@ -16,12 +16,12 @@ import (
 	"strings"
 
 	"commoverlap/internal/core"
+	"commoverlap/internal/machine"
 	"commoverlap/internal/mesh"
 	"commoverlap/internal/metrics"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/progress"
 	"commoverlap/internal/runner"
-	"commoverlap/internal/sim"
 	"commoverlap/internal/simnet"
 )
 
@@ -68,40 +68,22 @@ var Systems = []System{
 	{Name: "1hsg_70", N: 7645, Ne: 1529},
 }
 
-// job runs body on a fresh simulated world and returns an error on
-// simulation deadlock.
-func job(nodes, ranks int, placement []int, body func(p *mpi.Proc)) error {
-	_, err := jobWorld(nodes, ranks, placement, body)
-	return err
+// machineFor is the calibrated machine of nodes nodes running ranks ranks
+// under placement (nil = round robin), with the package metrics sink.
+func machineFor(nodes, ranks int, placement []int) machine.Spec {
+	return machine.Spec{
+		Config:    simnet.DefaultConfig(nodes),
+		Ranks:     ranks,
+		Placement: placement,
+		Metrics:   Metrics,
+	}
 }
 
-// jobWorld is job with access to the finished world, for byte accounting,
-// resource-utilization snapshots and the package metrics sink.
-func jobWorld(nodes, ranks int, placement []int, body func(p *mpi.Proc)) (*mpi.World, error) {
-	return jobWorldProg(nodes, ranks, placement, progress.Spec{}, body)
-}
-
-// jobWorldProg is jobWorld with a progress-engine spec applied to the
-// machine (DMA offload) and the world (progress-agent count). The zero spec
-// reproduces jobWorld exactly.
-func jobWorldProg(nodes, ranks int, placement []int, sp progress.Spec, body func(p *mpi.Proc)) (*mpi.World, error) {
-	eng := sim.NewEngine()
-	cfg := simnet.DefaultConfig(nodes)
-	sp.ApplyConfig(&cfg)
-	net, err := simnet.New(eng, cfg)
-	if err != nil {
-		return nil, err
-	}
-	w, err := mpi.NewWorld(net, ranks, placement)
-	if err != nil {
-		return nil, err
-	}
-	sp.ApplyWorld(w)
-	if Metrics != nil {
-		w.SetMetrics(Metrics)
-	}
-	w.Launch(body)
-	return w, eng.Run()
+// job runs body on a fresh calibrated machine and returns the finished
+// world, for byte accounting and resource-utilization snapshots; the error
+// reports a simulation deadlock.
+func job(nodes, ranks int, placement []int, body func(p *mpi.Proc)) (*mpi.World, error) {
+	return machineFor(nodes, ranks, placement).Run(body)
 }
 
 // UtilStats summarizes one job's resource occupancy over its elapsed
@@ -177,96 +159,94 @@ type KernelRun struct {
 // Kernel runs a variant at (n, mesh edge p, ndup, ppn) with phantom
 // payloads and returns the timing.
 func Kernel(v core.Variant, n, p, ndup, ppn int) (KernelRun, error) {
-	dims := mesh.Cubic(p)
-	return kernelDims(func(env *core.Env) core.Result {
-		return env.SymmSquareCube(v, nil)
-	}, dims, n, ndup, ppn)
+	return runKernel(machine.Spec{Config: simnet.DefaultConfig(1)}, mesh.Cubic(p),
+		core.Config{N: n, NDup: ndup, PPN: ppn}, variant(v))
 }
 
 // Kernel25 runs the 2.5D kernel (Algorithm 6) on a q x q x c mesh.
 func Kernel25(q, c, n, ndup, ppn int) (KernelRun, error) {
 	dims := mesh.Dims{Q: q, C: c}
-	nodes := mesh.NodesNeeded(dims.Size(), ppn)
-	var out KernelRun
-	out.Nodes = nodes
-	w, err := jobWorld(nodes, dims.Size(), mesh.NaturalPlacement(dims.Size(), ppn), func(pr *mpi.Proc) {
-		env, err := core.NewEnv25(pr, dims, core.Config{N: n, NDup: ndup, PPN: ppn})
-		if err != nil {
-			panic(err)
-		}
-		env.M.World.Barrier()
-		res := env.SymmSquareCube25(nil)
-		accumulate(&out, res)
-	})
-	if err != nil {
-		return out, err
-	}
-	finish(&out, n, w)
-	return out, nil
-}
-
-func kernelDims(run func(*core.Env) core.Result, dims mesh.Dims, n, ndup, ppn int) (KernelRun, error) {
-	return kernelCfg(run, dims, core.Config{N: n, NDup: ndup, PPN: ppn})
+	cfg := core.Config{N: n, NDup: ndup, PPN: ppn}
+	return runKernel(machine.Spec{Config: simnet.DefaultConfig(1)}, dims, cfg,
+		func(pr *mpi.Proc, _ *mpi.Comm, dims mesh.Dims, cfg core.Config) core.Result {
+			env, err := core.NewEnv25(pr, dims, cfg)
+			if err != nil {
+				panic(err)
+			}
+			env.M.World.Barrier()
+			return env.SymmSquareCube25(nil)
+		})
 }
 
 // KernelCfg runs the optimized kernel on a p-edge cubic mesh under an
 // explicit configuration — the entry point for table-driven runs with
 // per-phase pipeline widths (Config.PhaseNDup).
 func KernelCfg(p int, cfg core.Config) (KernelRun, error) {
-	return kernelCfg(func(env *core.Env) core.Result {
-		return env.SymmSquareCube(core.Optimized, nil)
-	}, mesh.Cubic(p), cfg)
+	return runKernel(machine.Spec{Config: simnet.DefaultConfig(1)}, mesh.Cubic(p), cfg, variant(core.Optimized))
 }
 
-func kernelCfg(run func(*core.Env) core.Result, dims mesh.Dims, cfg core.Config) (KernelRun, error) {
-	sp, err := progress.Parse(cfg.Progress)
-	if err != nil {
+// rankKernel is one mesh rank's part of a kernel run over comm (the world,
+// or the mesh ranks' working communicator when progress agents ride along).
+type rankKernel func(pr *mpi.Proc, comm *mpi.Comm, dims mesh.Dims, cfg core.Config) core.Result
+
+// variant is the rank body of a 3D SymmSquareCube variant.
+func variant(v core.Variant) rankKernel {
+	return func(pr *mpi.Proc, comm *mpi.Comm, dims mesh.Dims, cfg core.Config) core.Result {
+		env, err := core.NewEnvOn(pr, comm, dims, cfg)
+		if err != nil {
+			panic(err)
+		}
+		env.M.World.Barrier()
+		return env.SymmSquareCube(v, nil)
+	}
+}
+
+// runKernel is the one kernel runner. It validates cfg, then completes the
+// machine m describes (fabric and any placement or switch-point overrides)
+// for the dims mesh at cfg.PPN ranks per node: node and rank counts,
+// natural placement unless m has one, cfg's progress engine and the
+// package metrics sink. It runs rank on every mesh rank and folds the
+// per-rank results.
+func runKernel(m machine.Spec, dims mesh.Dims, cfg core.Config, rank rankKernel) (KernelRun, error) {
+	if err := cfg.Validate(); err != nil {
 		return KernelRun{}, err
 	}
+	sp := progress.MustParse(cfg.Progress) // validated above
 	ppn := cfg.PPN
 	if ppn == 0 {
 		ppn = 1
 	}
 	nodes := mesh.NodesNeeded(dims.Size(), ppn)
-	var out KernelRun
-	out.Nodes = nodes
-	if agents := sp.LanesNeeded(); agents > 0 {
-		// Rank-mode progress agents ride in extra launched lanes per node:
-		// the mesh ranks split off a working communicator while the agent
-		// lanes park (their CPUs advance the siblings' chunk pipelines).
-		launchPPN := ppn + agents
-		ranks := nodes * launchPPN
-		w, err := jobWorldProg(nodes, ranks, mesh.NaturalPlacement(ranks, launchPPN), sp, func(pr *mpi.Proc) {
-			node, lane := pr.Rank()/launchPPN, pr.Rank()%launchPPN
-			color := -1
-			if lane < ppn && node*ppn+lane < dims.Size() {
-				color = 0
-			}
-			sub := pr.World().Split(color, node*ppn+lane)
-			mpi.RunActive(pr, pr.World(), sub != nil, mpi.DefaultPollInterval, func() {
-				env, err := core.NewEnvOn(pr, sub, dims, cfg)
-				if err != nil {
-					panic(err)
-				}
-				env.M.World.Barrier()
-				res := run(env)
-				accumulate(&out, res)
-			})
-		})
-		if err != nil {
-			return out, err
-		}
-		finish(&out, cfg.N, w)
-		return out, nil
+	agents := sp.LanesNeeded()
+	// Rank-mode progress agents ride in extra launched lanes per node: the
+	// mesh ranks split off a working communicator while the agent lanes
+	// park (their CPUs advance the siblings' chunk pipelines).
+	launchPPN := ppn + agents
+	m.Config.Nodes = nodes
+	m.Ranks = dims.Size()
+	if agents > 0 {
+		m.Ranks = nodes * launchPPN
 	}
-	w, err := jobWorldProg(nodes, dims.Size(), mesh.NaturalPlacement(dims.Size(), ppn), sp, func(pr *mpi.Proc) {
-		env, err := core.NewEnv(pr, dims, cfg)
-		if err != nil {
-			panic(err)
+	if m.Placement == nil {
+		m.Placement = mesh.NaturalPlacement(m.Ranks, launchPPN)
+	}
+	m.Progress = sp
+	m.Metrics = Metrics
+	out := KernelRun{Nodes: nodes}
+	w, err := m.Run(func(pr *mpi.Proc) {
+		if agents == 0 {
+			accumulate(&out, rank(pr, pr.World(), dims, cfg))
+			return
 		}
-		env.M.World.Barrier()
-		res := run(env)
-		accumulate(&out, res)
+		node, lane := pr.Rank()/launchPPN, pr.Rank()%launchPPN
+		color := -1
+		if lane < ppn && node*ppn+lane < dims.Size() {
+			color = 0
+		}
+		sub := pr.World().Split(color, node*ppn+lane)
+		mpi.RunActive(pr, pr.World(), sub != nil, mpi.DefaultPollInterval, func() {
+			accumulate(&out, rank(pr, sub, dims, cfg))
+		})
 	})
 	if err != nil {
 		return out, err

@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"commoverlap/internal/core"
+	"commoverlap/internal/machine"
 	"commoverlap/internal/metrics"
 	"commoverlap/internal/mpi"
+	"commoverlap/internal/simnet"
 	"commoverlap/internal/trace"
 )
 
@@ -301,6 +303,20 @@ func TestKernelHelpers(t *testing.T) {
 	if kr.PeakWireUtil < kr.WireUtil || kr.PeakWireUtil > 1 {
 		t.Errorf("peak wire utilization %g vs mean %g", kr.PeakWireUtil, kr.WireUtil)
 	}
+	// Bad kernel input is an error naming the setting, returned before any
+	// machine is built — never a panic on a rank goroutine.
+	for name, run := range map[string]func() (KernelRun, error){
+		"Kernel":    func() (KernelRun, error) { return Kernel(core.Optimized, -5, 2, 1, 1) },
+		"Kernel25":  func() (KernelRun, error) { return Kernel25(2, 2, 100, 0, 1) },
+		"KernelCfg": func() (KernelRun, error) { return KernelCfg(2, core.Config{N: 100, NDup: 1, Progress: "bogus"}) },
+	} {
+		if _, err := run(); err == nil {
+			t.Errorf("%s accepted a bad config", name)
+		}
+	}
+	if _, err := Ablate(nil, -5); err == nil || !strings.Contains(err.Error(), "N = -5") {
+		t.Errorf("Ablate(-5): %v, want an error naming N = -5", err)
+	}
 }
 
 // TestMetricsSink checks the overlapbench -metrics plumbing: installing a
@@ -324,6 +340,18 @@ func TestMetricsSink(t *testing.T) {
 		if !strings.Contains(a, want) {
 			t.Errorf("metrics output missing %q:\n%s", want, a)
 		}
+	}
+	// The ablation's non-default machines feed the sink like every other
+	// kernel run.
+	Metrics = &metrics.Registry{}
+	defer func() { Metrics = nil }()
+	if _, err := ablated(machine.Spec{Config: simnet.DefaultConfig(1), ReduceLongMsg: 1 << 30}, 1000, 2, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	Metrics.WriteText(&sb)
+	if !strings.Contains(sb.String(), "mpi.coll") {
+		t.Errorf("ablation run fed no metrics:\n%s", sb.String())
 	}
 }
 

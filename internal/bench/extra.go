@@ -42,7 +42,7 @@ func Solver(w io.Writer) ([]SolverRow, error) {
 		variant := i % 2
 		n := ranks * perRank
 		var t float64
-		err := job(ranks, ranks, nil, func(pr *mpi.Proc) {
+		_, err := job(ranks, ranks, nil, func(pr *mpi.Proc) {
 			cg, err := solver.New(pr, pr.World(), n, solver.NewStencil(halfBW), false, 1)
 			if err != nil {
 				panic(err)
@@ -95,7 +95,7 @@ func Algos(w io.Writer, n int) ([]AlgoRow, error) {
 
 	summa := func(ndup int) (float64, error) {
 		var worst float64
-		err := job(64, 64, nil, func(pr *mpi.Proc) {
+		_, err := job(64, 64, nil, func(pr *mpi.Proc) {
 			env, err := core.NewEnv2D(pr, 8, core.Config{N: n, NDup: ndup, PPN: 1})
 			if err != nil {
 				panic(err)

@@ -65,7 +65,7 @@ func p2pBandwidth(ppn int, msg int64) (float64, error) {
 		placement[i] = 1
 	}
 	var elapsed float64
-	err := job(2, 2*ppn, placement, func(pr *mpi.Proc) {
+	_, err := job(2, 2*ppn, placement, func(pr *mpi.Proc) {
 		c := pr.World()
 		c.Barrier()
 		t0 := pr.Now()

@@ -130,7 +130,7 @@ func collectiveRunNodes(op string, cc CollCase, total int64, p int) (float64, Ut
 	}
 	size := p * ppn
 	var elapsed float64
-	w, err := jobWorld(p, size, mesh4Placement(p, ppn), func(pr *mpi.Proc) {
+	w, err := job(p, size, mesh4Placement(p, ppn), func(pr *mpi.Proc) {
 		// Column communicators: one rank per node each (paper Fig. 4).
 		col := pr.World().Split(pr.Rank()%ppn, pr.Rank()/ppn)
 		comms := col.DupN(ndup)

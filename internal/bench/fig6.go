@@ -164,7 +164,7 @@ func (r Fig6Result) WriteChromeTrace(w io.Writer) error {
 
 func timelineSingle(op, label string, bytes int64, nonblocking bool) ([]TimelineEntry, UtilStats, error) {
 	var entry TimelineEntry
-	w, err := jobWorld(fig5Nodes, fig5Nodes, nil, func(pr *mpi.Proc) {
+	w, err := job(fig5Nodes, fig5Nodes, nil, func(pr *mpi.Proc) {
 		c := pr.World()
 		c.Barrier()
 		t0 := pr.Now()
@@ -203,7 +203,7 @@ func timelineSingle(op, label string, bytes int64, nonblocking bool) ([]Timeline
 func timelineOverlap(op string) ([]TimelineEntry, UtilStats, error) {
 	const ndup = 4
 	entries := make([]TimelineEntry, ndup)
-	w, err := jobWorld(fig5Nodes, fig5Nodes, nil, func(pr *mpi.Proc) {
+	w, err := job(fig5Nodes, fig5Nodes, nil, func(pr *mpi.Proc) {
 		c := pr.World()
 		comms := c.DupN(ndup)
 		c.Barrier()
@@ -239,7 +239,7 @@ func timelineOverlap(op string) ([]TimelineEntry, UtilStats, error) {
 func timelinePPN(op string) ([]TimelineEntry, UtilStats, error) {
 	const ppn = 4
 	entries := make([]TimelineEntry, ppn)
-	w, err := jobWorld(fig5Nodes, fig5Nodes*ppn, mesh4Placement(fig5Nodes, ppn), func(pr *mpi.Proc) {
+	w, err := job(fig5Nodes, fig5Nodes*ppn, mesh4Placement(fig5Nodes, ppn), func(pr *mpi.Proc) {
 		col := pr.World().Split(pr.Rank()%ppn, pr.Rank()/ppn)
 		pr.World().Barrier()
 		t0 := pr.Now()

@@ -116,7 +116,7 @@ var hostMicro = []struct {
 	{"mpi/allreduce-64rank-1MB-cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := job(16, 64, nil, func(p *mpi.Proc) {
+			if _, err := job(16, 64, nil, func(p *mpi.Proc) {
 				p.World().Allreduce(mpi.Phantom(1<<20), mpi.OpSum)
 			}); err != nil {
 				b.Fatal(err)
@@ -162,12 +162,7 @@ var hostMicro = []struct {
 // warm.
 func steadyJob(b *testing.B, nodes, ranks int, body func(p *mpi.Proc, i int)) {
 	b.Helper()
-	eng := sim.NewEngine()
-	net, err := simnet.New(eng, simnet.DefaultConfig(nodes))
-	if err != nil {
-		b.Fatal(err)
-	}
-	w, err := mpi.NewWorld(net, ranks, nil)
+	eng, w, err := machineFor(nodes, ranks, nil).Build()
 	if err != nil {
 		b.Fatal(err)
 	}

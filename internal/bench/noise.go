@@ -5,8 +5,6 @@ import (
 
 	"commoverlap/internal/faults"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/sim"
-	"commoverlap/internal/simnet"
 )
 
 // The skew-resilience experiment: the paper's Fig. 5 micro-benchmark cases
@@ -81,8 +79,9 @@ func Noise(w io.Writer) (NoiseResult, error) {
 }
 
 // noisyCollectiveRun measures one (case, amplitude) cell: the Fig. 5
-// collective job with a seeded fault injector installed. Amplitude 0 runs
-// clean (no injector), so the baseline is exactly collectiveRun's machine.
+// collective job with a seeded fault injector installed between world
+// construction and launch. Amplitude 0 (an all-zero config) runs clean with
+// no injector, so the baseline is exactly collectiveRun's machine.
 func noisyCollectiveRun(op string, cc CollCase, total int64, amp float64) (float64, error) {
 	p := fig5Nodes
 	ppn, ndup := 1, 1
@@ -116,37 +115,21 @@ func noisyCollectiveRun(op string, cc CollCase, total int64, amp float64) (float
 			elapsed = dt
 		}
 	}
-	cfg := faults.Noise(noiseSeed, amp)
-	if err := jobNoise(p, p*ppn, mesh4Placement(p, ppn), cfg, body); err != nil {
+	eng, w, err := machineFor(p, p*ppn, mesh4Placement(p, ppn)).Build()
+	if err != nil {
 		return 0, err
 	}
-	vol := 2 * float64(p-1) / float64(p) * float64(total)
-	return vol / elapsed, nil
-}
-
-// jobNoise is jobWorld with a fault injector installed between world
-// construction and launch. An all-zero config (amplitude 0) skips
-// installation entirely so clean runs are bit-identical to jobWorld's.
-func jobNoise(nodes, ranks int, placement []int, cfg faults.Config, body func(p *mpi.Proc)) error {
-	eng := sim.NewEngine()
-	net, err := simnet.New(eng, simnet.DefaultConfig(nodes))
-	if err != nil {
-		return err
-	}
-	w, err := mpi.NewWorld(net, ranks, placement)
-	if err != nil {
-		return err
-	}
-	if Metrics != nil {
-		w.SetMetrics(Metrics)
-	}
-	if cfg != (faults.Config{Seed: cfg.Seed}) {
+	if cfg := faults.Noise(noiseSeed, amp); cfg != (faults.Config{Seed: cfg.Seed}) {
 		inj, err := faults.New(cfg)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		inj.Install(w)
 	}
 	w.Launch(body)
-	return eng.Run()
+	if err := eng.Run(); err != nil {
+		return 0, err
+	}
+	vol := 2 * float64(p-1) / float64(p) * float64(total)
+	return vol / elapsed, nil
 }

@@ -196,7 +196,7 @@ func PaperScaleTuned(w io.Writer, n int, table *tune.Table) (PaperScaleResult, e
 func purifyTFlops(n, ne, p, ndup, iters int) (float64, error) {
 	dims := mesh.Cubic(p)
 	var kernelTime float64
-	err := job(dims.Size(), dims.Size(), nil, func(pr *mpi.Proc) {
+	_, err := job(dims.Size(), dims.Size(), nil, func(pr *mpi.Proc) {
 		env, err := core.NewEnv(pr, dims, core.Config{N: n, NDup: ndup})
 		if err != nil {
 			panic(err)

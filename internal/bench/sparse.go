@@ -44,7 +44,7 @@ func Sparse(w io.Writer, n int) ([]SparseRow, error) {
 		pipelined := (i-1)%2 == 1
 		h := sparse.BandedHamiltonian(n, hb, float64(hb)/3)
 		var worst float64
-		err := job(16, 16, nil, func(pr *mpi.Proc) {
+		_, err := job(16, 16, nil, func(pr *mpi.Proc) {
 			env, err := core.NewSpEnv(pr, q, n, 2, 1, 0)
 			if err != nil {
 				panic(err)
@@ -76,7 +76,7 @@ func Sparse(w io.Writer, n int) ([]SparseRow, error) {
 
 func dense2DTime(q, n int) (float64, error) {
 	var worst float64
-	err := job(q*q, q*q, nil, func(pr *mpi.Proc) {
+	_, err := job(q*q, q*q, nil, func(pr *mpi.Proc) {
 		env, err := core.NewEnv2D(pr, q, core.Config{N: n, NDup: 2})
 		if err != nil {
 			panic(err)

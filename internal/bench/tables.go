@@ -223,7 +223,7 @@ func Table1App(w io.Writer, sys System, iters int) (float64, error) {
 	}
 	dims := mesh.Cubic(table1MeshEdge)
 	var kernelTime float64
-	err := job(dims.Size(), dims.Size(), nil, func(pr *mpi.Proc) {
+	_, err := job(dims.Size(), dims.Size(), nil, func(pr *mpi.Proc) {
 		env, err := core.NewEnv(pr, dims, core.Config{N: sys.N, NDup: 4})
 		if err != nil {
 			panic(err)

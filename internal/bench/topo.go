@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/sim"
-	"commoverlap/internal/simnet"
+	"commoverlap/internal/tune"
 )
 
 // The topology experiment: the same allreduce swept over the overlap axes
@@ -129,67 +127,16 @@ func Topo(w io.Writer) (TopoResult, error) {
 }
 
 // topoCell measures one (fabric, ndup, ppn, alg) cell: the tuner's
-// measurement job (column communicators, duplicated comms, surplus ranks
-// parked) plus a post-run per-link-class utilization snapshot.
+// measurement of the allreduce kernel on that fabric, plus a post-run read
+// of the shared uplinks' utilization.
 func topoCell(fabric string, ndup, ppn int, alg string) (TopoRow, error) {
 	row := TopoRow{Fabric: fabric, NDup: ndup, PPN: ppn, Alg: alg}
-	name := fabric
-	if name == "flat" {
-		name = ""
-	}
-	spec, err := simnet.TopoByName(name, topoNodes)
+	k := tune.Kernel{Op: "allreduce", Bytes: topoBytes, Nodes: topoNodes, Topo: fabric}
+	bw, w, err := tune.MeasureCollective(k, tune.Params{NDup: ndup, PPN: ppn, Alg: alg}, topoLaunchPPN, Metrics)
 	if err != nil {
 		return row, err
 	}
-	cfg := simnet.DefaultConfig(topoNodes)
-	cfg.Topo = spec
-	eng := sim.NewEngine()
-	net, err := simnet.New(eng, cfg)
-	if err != nil {
-		return row, err
-	}
-	ranks := topoNodes * topoLaunchPPN
-	w, err := mpi.NewWorld(net, ranks, mesh.NaturalPlacement(ranks, topoLaunchPPN))
-	if err != nil {
-		return row, err
-	}
-	if Metrics != nil {
-		w.SetMetrics(Metrics)
-	}
-	w.AllreduceAlg = alg
-	var elapsed float64
-	w.Launch(func(pr *mpi.Proc) {
-		lane := pr.Rank() % topoLaunchPPN
-		color := lane
-		if lane >= ppn {
-			color = -1
-		}
-		col := pr.World().Split(color, pr.Rank()/topoLaunchPPN)
-		var comms []*mpi.Comm
-		if col != nil {
-			comms = col.DupN(ndup)
-		}
-		mpi.RunActive(pr, pr.World(), col != nil, mpi.DefaultPollInterval, func() {
-			t0 := pr.Now()
-			share := topoBytes / int64(ppn) / int64(ndup)
-			if share == 0 {
-				share = 1
-			}
-			reqs := make([]*mpi.Request, ndup)
-			for d := 0; d < ndup; d++ {
-				reqs[d] = comms[d].Iallreduce(mpi.Phantom(share), mpi.OpSum)
-			}
-			mpi.Waitall(reqs...)
-			if dt := pr.Now() - t0; dt > elapsed {
-				elapsed = dt
-			}
-		})
-	})
-	if err := eng.Run(); err != nil {
-		return row, err
-	}
-	vol := 2 * float64(topoNodes-1) / float64(topoNodes) * float64(topoBytes)
-	row.BW = vol / elapsed
-	row.UplinkUtil = net.LinkUtilization(eng.Now())["uplink"]
+	row.BW = bw
+	row.UplinkUtil = w.Net.LinkUtilization(w.Eng.Now())["uplink"]
 	return row, nil
 }

@@ -40,6 +40,7 @@ import (
 	"fmt"
 
 	"commoverlap/internal/faults"
+	"commoverlap/internal/machine"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/sim"
 	"commoverlap/internal/simnet"
@@ -75,8 +76,8 @@ type Scenario struct {
 	// Config, when non-nil, adjusts the machine configuration before the
 	// fabric is built — e.g. enabling the per-node DMA offload engine
 	// (simnet.Config.OffloadRate) so the checker can drive the progress
-	// engine's offload charging through the invariant battery. It runs
-	// after the topology is applied.
+	// engine's offload charging through the invariant battery. The
+	// topology is Topo's; Config.Topo is replaced by it.
 	Config func(cfg *simnet.Config)
 	// Setup, when non-nil, configures the world before launch — forcing a
 	// collective-algorithm family member, adjusting switch points, or
@@ -142,32 +143,24 @@ func (c *collector) addf(invariant, format string, args ...any) {
 func RunScenario(sc Scenario, opts Options) Report {
 	col := &collector{}
 
-	eng := sim.NewEngine()
+	m := machine.Spec{
+		Config:    simnet.DefaultConfig(sc.Nodes),
+		Topo:      sc.Topo,
+		Ranks:     sc.Ranks,
+		Placement: sc.Placement,
+	}
+	if sc.Config != nil {
+		sc.Config(&m.Config)
+	}
+	eng, w, err := m.Build()
+	if err != nil {
+		col.addf("setup", "machine: %v", err)
+		return Report{Violations: col.violations}
+	}
 	if opts.Tie != nil {
 		eng.SetTieBreak(opts.Tie)
 	}
 	events := watchClock(eng, col)
-
-	cfg := simnet.DefaultConfig(sc.Nodes)
-	topo, err := simnet.TopoByName(sc.Topo, sc.Nodes)
-	if err != nil {
-		col.addf("setup", "topology: %v", err)
-		return Report{Violations: col.violations}
-	}
-	cfg.Topo = topo
-	if sc.Config != nil {
-		sc.Config(&cfg)
-	}
-	net, err := simnet.New(eng, cfg)
-	if err != nil {
-		col.addf("setup", "simnet: %v", err)
-		return Report{Violations: col.violations}
-	}
-	w, err := mpi.NewWorld(net, sc.Ranks, sc.Placement)
-	if err != nil {
-		col.addf("setup", "world: %v", err)
-		return Report{Violations: col.violations}
-	}
 	// Any runaway poll spin should trip fast enough to diagnose.
 	w.MaxPollTime = 60
 	if sc.Setup != nil {

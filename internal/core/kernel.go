@@ -73,12 +73,18 @@ type Config struct {
 	Progress string
 }
 
-func (c *Config) validate() error {
+// Validate reports the first invalid setting: a non-positive N, NDup or
+// per-phase width, a negative PPN, an unknown phase, or an unparseable
+// progress label.
+func (c *Config) Validate() error {
 	if c.N <= 0 {
 		return fmt.Errorf("core: N = %d", c.N)
 	}
 	if c.NDup <= 0 {
 		return fmt.Errorf("core: NDup = %d", c.NDup)
+	}
+	if c.PPN < 0 {
+		return fmt.Errorf("core: PPN = %d", c.PPN)
 	}
 	for ph, nd := range c.PhaseNDup {
 		if !knownPhase(ph) {
@@ -160,7 +166,7 @@ func NewEnv(p *mpi.Proc, dims mesh.Dims, cfg Config) (*Env, error) {
 // a kernel can run on a subset of the job's ranks (the paper's per-kernel
 // PPN mechanism parks the rest). Every rank of comm must call NewEnvOn.
 func NewEnvOn(p *mpi.Proc, comm *mpi.Comm, dims mesh.Dims, cfg Config) (*Env, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.PPN == 0 {

@@ -37,7 +37,7 @@ type MatVec struct {
 // this rank's block A_{i,j} (may be nil in phantom mode). Every rank of the
 // world must call NewMatVec with the same dims and cfg.
 func NewMatVec(p *mpi.Proc, q int, cfg Config, a *mat.Matrix) (*MatVec, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.PPN == 0 {

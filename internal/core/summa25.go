@@ -36,7 +36,7 @@ type Env25 struct {
 // dims.C (each plane advances the same number of Cannon steps). Every rank
 // must call NewEnv25 with identical arguments.
 func NewEnv25(p *mpi.Proc, dims mesh.Dims, cfg Config) (*Env25, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.PPN == 0 {

@@ -31,7 +31,7 @@ type Env2D struct {
 // NewEnv2D builds the q x q SUMMA environment. Every rank of the world
 // must call it with identical arguments.
 func NewEnv2D(p *mpi.Proc, q int, cfg Config) (*Env2D, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.PPN == 0 {

@@ -19,11 +19,12 @@ import (
 	"runtime"
 
 	"commoverlap/internal/cache"
+	"commoverlap/internal/machine"
 	"commoverlap/internal/mesh"
+	"commoverlap/internal/metrics"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/progress"
 	"commoverlap/internal/runner"
-	"commoverlap/internal/sim"
 	"commoverlap/internal/simnet"
 	"commoverlap/internal/workload"
 )
@@ -365,60 +366,84 @@ func DefaultKernels() []Kernel {
 // Ibarrier with the paper's Test+usleep poll. Returns bandwidth in bytes/s
 // under the paper's volume convention (2(p-1)/p * n).
 func Measure(k Kernel, p Params, launchPPN int) (float64, error) {
-	if err := k.validate(); err != nil {
-		return 0, err
-	}
-	if err := p.validate(); err != nil {
-		return 0, err
-	}
-	sp := progress.MustParse(p.Progress) // validated above
-	if p.PPN+sp.LanesNeeded() > launchPPN {
-		return 0, fmt.Errorf("tune: PPN %d + %d progress lanes exceed launch PPN %d",
-			p.PPN, sp.LanesNeeded(), launchPPN)
-	}
 	if workloadOp(k.Op) {
+		if err := validateCell(k, p, launchPPN); err != nil {
+			return 0, err
+		}
 		return measureWorkload(k, p, launchPPN)
 	}
-	cfg := simnet.DefaultConfig(k.Nodes)
-	sp.ApplyConfig(&cfg)
-	topo, err := simnet.TopoByName(k.Topo, k.Nodes)
-	if err != nil {
-		return 0, err
+	bw, _, err := MeasureCollective(k, p, launchPPN, nil)
+	return bw, err
+}
+
+// validateCell rejects a cell Measure cannot run: a bad kernel or
+// parameters, or progress agents that do not fit in the launched lanes.
+func validateCell(k Kernel, p Params, launchPPN int) error {
+	if err := k.validate(); err != nil {
+		return err
 	}
-	cfg.Topo = topo
+	if err := p.validate(); err != nil {
+		return err
+	}
+	if lanes := progress.MustParse(p.Progress).LanesNeeded(); p.PPN+lanes > launchPPN {
+		return fmt.Errorf("tune: PPN %d + %d progress lanes exceed launch PPN %d", p.PPN, lanes, launchPPN)
+	}
+	return nil
+}
+
+// preset is the fabric calibration a kernel is measured on (before the
+// cell's protocol overrides and the kernel's topology): the accelerator
+// preset for workload kernels, the paper's machine for bare collectives.
+func preset(k Kernel) simnet.Config {
+	if workloadOp(k.Op) {
+		return workload.AcceleratorConfig(k.Nodes)
+	}
+	return simnet.DefaultConfig(k.Nodes)
+}
+
+// fabric is the kernel's preset with the cell's protocol overrides.
+func fabric(k Kernel, p Params) simnet.Config {
+	cfg := preset(k)
 	if p.ChunkBytes != 0 {
 		cfg.ChunkBytes = p.ChunkBytes
 	}
 	if p.EagerLimit != 0 {
 		cfg.EagerLimit = p.EagerLimit
 	}
-	eng := sim.NewEngine()
-	net, err := simnet.New(eng, cfg)
-	if err != nil {
-		return 0, err
+	return cfg
+}
+
+// MeasureCollective is Measure for the bare-collective kernels (bcast,
+// reduce, allreduce) with sink installed as the job's metrics sink (nil =
+// none). It also returns the finished world, for post-run resource reads.
+func MeasureCollective(k Kernel, p Params, launchPPN int, sink *metrics.Registry) (float64, *mpi.World, error) {
+	if err := validateCell(k, p, launchPPN); err != nil {
+		return 0, nil, err
+	}
+	if workloadOp(k.Op) {
+		return 0, nil, fmt.Errorf("tune: %s is a workload kernel, not a collective", k.Op)
 	}
 	ranks := k.Nodes * launchPPN
-	w, err := mpi.NewWorld(net, ranks, mesh.NaturalPlacement(ranks, launchPPN))
-	if err != nil {
-		return 0, err
-	}
-	if p.BcastLongMsg != 0 {
-		w.BcastLongMsg = p.BcastLongMsg
-	}
-	if p.ReduceLongMsg != 0 {
-		w.ReduceLongMsg = p.ReduceLongMsg
+	m := machine.Spec{
+		Config:        fabric(k, p),
+		Topo:          k.Topo,
+		Ranks:         ranks,
+		Placement:     mesh.NaturalPlacement(ranks, launchPPN),
+		Progress:      progress.MustParse(p.Progress),
+		BcastLongMsg:  p.BcastLongMsg,
+		ReduceLongMsg: p.ReduceLongMsg,
+		Metrics:       sink,
 	}
 	switch k.Op {
 	case "bcast":
-		w.BcastAlg = p.Alg
+		m.BcastAlg = p.Alg
 	case "reduce":
-		w.ReduceAlg = p.Alg
+		m.ReduceAlg = p.Alg
 	case "allreduce":
-		w.AllreduceAlg = p.Alg
+		m.AllreduceAlg = p.Alg
 	}
-	sp.ApplyWorld(w)
 	var elapsed float64
-	w.Launch(func(pr *mpi.Proc) {
+	w, err := m.Run(func(pr *mpi.Proc) {
 		// Column communicators (one rank per node each) are split off while
 		// every rank is awake — communicator creation is collective — and
 		// only then do the surplus ranks park.
@@ -456,11 +481,11 @@ func Measure(k Kernel, p Params, launchPPN int) (float64, error) {
 			}
 		})
 	})
-	if err := eng.Run(); err != nil {
-		return 0, err
+	if err != nil {
+		return 0, nil, err
 	}
 	vol := 2 * float64(k.Nodes-1) / float64(k.Nodes) * float64(k.Bytes)
-	return vol / elapsed, nil
+	return vol / elapsed, w, nil
 }
 
 // workloadUnits is the fixed bucket/shard/microbatch count a workload
@@ -472,18 +497,7 @@ const workloadUnits = 8
 // protocol overrides. Goodput (pattern payload volume over the slowest
 // active rank's step time) is the measure the table optimizes.
 func measureWorkload(k Kernel, p Params, launchPPN int) (float64, error) {
-	cfg := workload.AcceleratorConfig(k.Nodes)
-	topo, err := simnet.TopoByName(k.Topo, k.Nodes)
-	if err != nil {
-		return 0, err
-	}
-	cfg.Topo = topo
-	if p.ChunkBytes != 0 {
-		cfg.ChunkBytes = p.ChunkBytes
-	}
-	if p.EagerLimit != 0 {
-		cfg.EagerLimit = p.EagerLimit
-	}
+	cfg := fabric(k, p)
 	elems := int(k.Bytes/8) / workloadUnits
 	if elems < 1 {
 		elems = 1
@@ -515,12 +529,7 @@ func measureWorkload(k Kernel, p Params, launchPPN int) (float64, error) {
 // the table, not of the physics, so they stay out of the hash — the
 // simulator is exact arithmetic over a deterministic schedule.
 func cellHash(k Kernel, p Params, launchPPN int) string {
-	cfg := simnet.DefaultConfig(k.Nodes)
-	if workloadOp(k.Op) {
-		// Workload kernels measure on the accelerator preset, so that is
-		// the calibration their cells must be invalidated against.
-		cfg = workload.AcceleratorConfig(k.Nodes)
-	}
+	cfg := preset(k)
 	cfg.Topo, _ = simnet.TopoByName(k.Topo, k.Nodes) // validated by the caller
 	return hashCell(cfg, k, p, launchPPN)
 }
