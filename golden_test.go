@@ -1,9 +1,10 @@
 package commoverlap
 
 // Golden digests: SHA-256 of the test-size outputs of every path that
-// builds a simulated machine — the topology, noise and ablation
-// experiments, the kernel tables, the ML workloads, single tuner cells and
-// the model checker's schedule transcripts. The simulator is deterministic,
+// builds a simulated machine — the paper's figures and kernel tables, the
+// topology, noise, ablation, ML-workload and progress-engine experiments,
+// single tuner cells, a cached tuner search and the model checker's
+// schedule transcripts. The simulator is deterministic,
 // so a refactor that changes none of the physics leaves every digest
 // exactly as committed. Re-record with
 //
@@ -24,6 +25,7 @@ import (
 	"testing"
 
 	"commoverlap/internal/bench"
+	"commoverlap/internal/cache"
 	"commoverlap/internal/check"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/tune"
@@ -37,6 +39,9 @@ const goldenPath = "testdata/golden_digests.json"
 // goldenN is the matrix dimension of the kernel tables and the ablation at
 // test size: small enough to keep the whole digest set within seconds.
 const goldenN = 240
+
+// goldenSystems is the one goldenN-sized system Tables I and II run on.
+var goldenSystems = []bench.System{{Name: "golden", N: goldenN, Ne: goldenN / 5}}
 
 // goldenArtifacts renders each guarded output to bytes.
 var goldenArtifacts = []struct {
@@ -55,8 +60,39 @@ var goldenArtifacts = []struct {
 		fmt.Fprintf(buf, "%+v\n", res)
 		return err
 	}},
+	{"bench.Fig3", func(buf *bytes.Buffer) error {
+		res, err := bench.Fig3(buf)
+		if err != nil {
+			return err
+		}
+		return res.WriteCSV(buf)
+	}},
+	{"bench.Fig5", func(buf *bytes.Buffer) error {
+		res, err := bench.Fig5(buf)
+		if err != nil {
+			return err
+		}
+		return res.WriteCSV(buf)
+	}},
+	{"bench.Fig6", func(buf *bytes.Buffer) error {
+		res, err := bench.Fig6(buf)
+		if err != nil {
+			return err
+		}
+		return res.WriteCSV(buf)
+	}},
 	{"bench.Ablate", func(buf *bytes.Buffer) error {
 		rows, err := bench.Ablate(buf, goldenN)
+		fmt.Fprintf(buf, "%+v\n", rows)
+		return err
+	}},
+	{"bench.Table1", func(buf *bytes.Buffer) error {
+		rows, err := bench.Table1(buf, goldenSystems)
+		fmt.Fprintf(buf, "%+v\n", rows)
+		return err
+	}},
+	{"bench.Table2", func(buf *bytes.Buffer) error {
+		rows, err := bench.Table2(buf, goldenSystems)
 		fmt.Fprintf(buf, "%+v\n", rows)
 		return err
 	}},
@@ -93,6 +129,20 @@ var goldenArtifacts = []struct {
 		}
 		return nil
 	}},
+	{"bench.MLWork", func(buf *bytes.Buffer) error {
+		res, err := bench.MLWork(buf, true)
+		if err != nil {
+			return err
+		}
+		return res.WriteCSV(buf)
+	}},
+	{"bench.ProgressBench", func(buf *bytes.Buffer) error {
+		res, err := bench.ProgressBench(buf, true)
+		if err != nil {
+			return err
+		}
+		return res.WriteCSV(buf)
+	}},
 	{"tune.Measure", func(buf *bytes.Buffer) error {
 		cells := []struct {
 			k tune.Kernel
@@ -119,6 +169,28 @@ var goldenArtifacts = []struct {
 				return err
 			}
 			fmt.Fprintf(buf, "%s %+v %.17g\n", c.k.Name(), c.p, bw)
+		}
+		return nil
+	}},
+	{"tune.Search", func(buf *bytes.Buffer) error {
+		// A store far smaller than the grid: the re-run recomputes the
+		// cells it could not hold, and both tables must still match.
+		store := cache.New(512)
+		opts := tune.Options{
+			Grid: tune.Grid{Name: "golden", NDups: []int{1, 2}, PPNs: []int{1, 2}, LaunchPPN: 2,
+				Protocols: []tune.Params{{}}, Algs: []string{mpi.AlgAuto, mpi.AlgRing}},
+			Kernels: []tune.Kernel{cell("reduce", ""), cell("allreduce", "hier")},
+			Cache:   store,
+		}
+		for pass := 0; pass < 2; pass++ {
+			tab, err := tune.Search(opts)
+			if err != nil {
+				return err
+			}
+			tab.GoVersion = "" // the toolchain is provenance, not a result
+			if err := tab.WriteJSON(buf); err != nil {
+				return err
+			}
 		}
 		return nil
 	}},
