@@ -5,7 +5,7 @@
 //
 //	overlapbench [-n dim] [-csv dir] [-trace file] [-metrics] [-noise] [experiment ...]
 //	overlapbench -validate-trace file
-//	overlapbench tune [-quick] [-table file] [-cells-csv file] [-cold] [-cache]
+//	overlapbench tune [-quick] [-table file] [-cells-csv file] [-cold]
 //	overlapbench mlwork [-quick] [-csv dir]
 //	overlapbench progress [-quick] [-csv dir]
 //	overlapbench bench-diff [-threshold pct] [-alloc-threshold pct] [-fail-on-regression] [-require-env-match] base.json current.json
@@ -42,9 +42,9 @@
 // internal/tune): a deterministic parallel search over the overlap
 // parameter space, warm-started from the existing table when its cells'
 // provenance hashes still match. -quick sweeps the coarse CI grid instead
-// of the full one; -cache routes every cell through the process-wide
-// content-addressed result store (internal/cache) the experiment paths
-// also consult, so repeated cells become hash lookups.
+// of the full one; identical cells within the search are simulated once.
+// The directories of -table and -cells-csv are checked before the search
+// starts. -workers must not be negative.
 //
 // bench-diff compares two bench-host artifacts; -threshold,
 // -alloc-threshold and -fail-on-regression turn it into a gate whose timing
@@ -74,7 +74,6 @@ import (
 	"time"
 
 	"commoverlap/internal/bench"
-	"commoverlap/internal/cache"
 	"commoverlap/internal/metrics"
 	"commoverlap/internal/trace"
 	"commoverlap/internal/tune"
@@ -134,6 +133,10 @@ func realMain() int {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "overlapbench: -workers %d: want 0 (default pool) or a positive width\n", *workers)
+		return 2
+	}
 	bench.Workers = *workers
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -582,12 +585,21 @@ func runTune(args []string, workers int) error {
 	tablePath := fs.String("table", "TUNING.json", "tuning table to warm-start from and write back to")
 	cellsCSV := fs.String("cells-csv", "", "also write every measured cell as CSV to this file")
 	cold := fs.Bool("cold", false, "ignore an existing table (re-measure every cell)")
-	useCache := fs.Bool("cache", false, "consult the in-process result cache (shared with the experiment paths)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if len(fs.Args()) != 0 {
-		return fmt.Errorf("unexpected arguments %q\nusage: overlapbench tune [-quick] [-table file] [-cells-csv file] [-cold] [-cache]", fs.Args())
+		return fmt.Errorf("unexpected arguments %q\nusage: overlapbench tune [-quick] [-table file] [-cells-csv file] [-cold]", fs.Args())
+	}
+	// Fail before the search, not after minutes of simulation, when an
+	// output cannot be written.
+	for _, path := range []string{*tablePath, *cellsCSV} {
+		if path == "" {
+			continue
+		}
+		if st, err := os.Stat(filepath.Dir(path)); err != nil || !st.IsDir() {
+			return fmt.Errorf("cannot write %s: no directory %s", path, filepath.Dir(path))
+		}
 	}
 	grid := tune.FullGrid()
 	if *quick {
@@ -607,23 +619,14 @@ func runTune(args []string, workers int) error {
 		Warm:     warm,
 		Progress: func(line string) { fmt.Printf("  %s\n", line) },
 	}
-	if *useCache {
-		opts.Cache = cache.Shared()
-	}
 	start := time.Now()
 	table, err := tune.Search(opts)
 	if err != nil {
 		return err
 	}
 	warmN, total := table.WarmCount()
-	if *useCache {
-		cached, dup, _ := table.CachedCount()
-		fmt.Printf("  [%s grid: %d cells (%d warm-started, %d cache hits, %d in-job dups) in %.1fs wall time]\n",
-			grid.Name, total, warmN, cached, dup, time.Since(start).Seconds())
-	} else {
-		fmt.Printf("  [%s grid: %d cells (%d warm-started) in %.1fs wall time]\n",
-			grid.Name, total, warmN, time.Since(start).Seconds())
-	}
+	fmt.Printf("  [%s grid: %d cells (%d warm-started) in %.1fs wall time]\n",
+		grid.Name, total, warmN, time.Since(start).Seconds())
 	if err := tune.SaveTable(*tablePath, table); err != nil {
 		return err
 	}

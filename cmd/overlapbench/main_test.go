@@ -21,15 +21,17 @@ func buildCLI(t *testing.T) string {
 }
 
 // TestCLIArgValidation is the table-driven argument-handling test: unknown
-// experiment names, unknown subcommands and trailing junk must exit
-// non-zero with a usage message instead of silently running the default
-// path, while valid invocations keep exiting zero.
+// experiment names, unknown subcommands, trailing junk, bad flag values and
+// unwritable tune outputs must exit non-zero with a message instead of
+// silently running the default path, while valid invocations keep exiting
+// zero.
 func TestCLIArgValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the CLI binary")
 	}
 	exe := buildCLI(t)
 	csvDir := t.TempDir()
+	missingTable := filepath.Join(csvDir, "missing", "T.json")
 	cases := []struct {
 		name     string
 		args     []string
@@ -71,6 +73,12 @@ func TestCLIArgValidation(t *testing.T) {
 			wantOut: "N = -5"},
 		{name: "removed serve subcommand", args: []string{"serve"},
 			wantOut: `unknown experiment or subcommand "serve"`},
+		{name: "negative workers", args: []string{"-workers", "-3", "fig4"},
+			wantOut: "-workers -3"},
+		{name: "removed tune cache flag", args: []string{"tune", "-cache"},
+			wantOut: "flag provided but not defined"},
+		{name: "tune missing table directory", args: []string{"tune", "-quick", "-table", missingTable},
+			wantOut: "cannot write " + missingTable},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"commoverlap/internal/cache"
 	"commoverlap/internal/tune"
 )
 
@@ -183,10 +182,7 @@ func ProgressBench(w io.Writer, quick bool) (ProgressResult, error) {
 		c := cases[ref.ci]
 		row := ProgressRow{Case: c.Name, Class: ref.class,
 			NDup: ref.p.NDup, PPN: ref.p.PPN, Progress: ref.p.Progress}
-		// Classes overlap in parameter space (the ndup=1 cell of one class
-		// is another class's baseline); the shared result cache collapses
-		// every repeat to a hash lookup with an identical value.
-		bw, _, err := tune.MeasureCached(cache.Shared(), c.Kernel, ref.p, c.LaunchPPN)
+		bw, err := tune.Measure(c.Kernel, ref.p, c.LaunchPPN)
 		row.BW = bw
 		return row, err
 	})

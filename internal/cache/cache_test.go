@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"commoverlap/internal/metrics"
 )
 
 func TestGetOrComputeBasics(t *testing.T) {
@@ -30,7 +28,7 @@ func TestGetOrComputeBasics(t *testing.T) {
 		t.Fatal("Get of absent key hit")
 	}
 	st := s.Stats()
-	if st.Hits != 2 || st.Misses != 2 || st.Entries != 1 || st.Bytes <= 0 {
+	if st.Hits != 2 || st.Misses != 2 || st.Entries != 1 {
 		t.Fatalf("stats %+v", st)
 	}
 }
@@ -90,12 +88,13 @@ func TestSingleflightCoalesces(t *testing.T) {
 	}
 }
 
-// TestLRUEvictionThenRecompute: under a tiny byte budget old entries are
-// evicted, and recomputing an evicted key yields the byte-identical value —
-// eviction is a performance event, not a correctness one.
-func TestLRUEvictionThenRecompute(t *testing.T) {
-	// Budget of ~2 entries per shard; 300 distinct keys must evict.
-	s := New(shardCount * 2 * (16 + entryOverhead))
+// TestBoundedAdmissionThenRecompute: under a tiny byte bound only the
+// first keys are admitted, and recomputing a key the store could not hold
+// yields the byte-identical value — the bound is a performance event, not
+// a correctness one.
+func TestBoundedAdmissionThenRecompute(t *testing.T) {
+	const held = 10
+	s := New(held * (16 + valueBytes)) // room for ten 16-byte keys
 	value := func(i int) float64 { return float64(i) * 1.0625 }
 	key := func(i int) string { return fmt.Sprintf("%016x", i) }
 	for i := 0; i < 300; i++ {
@@ -103,35 +102,44 @@ func TestLRUEvictionThenRecompute(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := s.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions under a %d-byte budget: %+v", shardCount*2*(16+entryOverhead), st)
+	if st := s.Stats(); st.Entries != held {
+		t.Fatalf("stats %+v: want %d entries held", st, held)
 	}
-	if st.Bytes > int64(shardCount*2*(16+entryOverhead)) {
-		t.Fatalf("bytes %d above budget", st.Bytes)
-	}
-	// Every key — cached or evicted — recomputes to the identical value.
+	// Every key — held or not — yields the identical value; only the held
+	// ones skip the computation.
 	for i := 0; i < 300; i++ {
-		bw, _, err := s.GetOrCompute(key(i), func() (float64, error) { return value(i), nil })
+		ran := false
+		bw, hit, err := s.GetOrCompute(key(i), func() (float64, error) { ran = true; return value(i), nil })
 		if err != nil || bw != value(i) {
 			t.Fatalf("key %d: bw=%g err=%v, want %g", i, bw, err, value(i))
 		}
+		if want := i < held; hit != want || ran == want {
+			t.Fatalf("key %d: hit=%v ran=%v, want hit=%v", i, hit, ran, want)
+		}
+	}
+	// A held key still takes an overwrite when the store is full.
+	s.Put(key(0), -1)
+	if bw, _ := s.Get(key(0)); bw != -1 {
+		t.Fatalf("overwrite on a full store: Get = %g", bw)
 	}
 }
 
-// TestSingleEntryOverBudget: an entry larger than a shard's whole budget
-// inserts and immediately evicts itself without wedging the shard.
+// TestSingleEntryOverBudget: an entry larger than the whole bound is never
+// admitted and is recomputed on every request, without wedging the store.
 func TestSingleEntryOverBudget(t *testing.T) {
-	s := New(1) // maxPerShard clamps to 1 byte
-	if _, _, err := s.GetOrCompute("key", func() (float64, error) { return 1, nil }); err != nil {
-		t.Fatal(err)
+	s := New(1)
+	calls := 0
+	for i := 0; i < 2; i++ {
+		bw, hit, err := s.GetOrCompute("key", func() (float64, error) { calls++; return 1, nil })
+		if err != nil || hit || bw != 1 {
+			t.Fatalf("request %d: bw=%g hit=%v err=%v", i, bw, hit, err)
+		}
 	}
-	st := s.Stats()
-	if st.Entries != 0 || st.Bytes != 0 || st.Evictions != 1 {
-		t.Fatalf("stats %+v: want the oversized entry self-evicted", st)
+	if st := s.Stats(); st.Entries != 0 || calls != 2 {
+		t.Fatalf("stats %+v calls %d: want the oversized entry never held", st, calls)
 	}
 	if _, ok := s.Get("key"); ok {
-		t.Fatal("oversized entry survived")
+		t.Fatal("oversized entry was admitted")
 	}
 }
 
@@ -150,36 +158,11 @@ func TestPutOverwritesAndSeeds(t *testing.T) {
 	}
 }
 
-// TestPublishDeltas: repeated Publish feeds the registry monotone deltas,
-// not cumulative re-adds.
-func TestPublishDeltas(t *testing.T) {
-	s := New(0)
-	reg := &metrics.Registry{}
-	s.GetOrCompute("a", func() (float64, error) { return 1, nil })
-	s.Get("a")
-	s.Publish(reg)
-	if got := reg.Value("cache.hits", ""); got != 1 {
-		t.Fatalf("cache.hits = %g after first publish", got)
-	}
-	s.Get("a")
-	s.Publish(reg)
-	if got := reg.Value("cache.hits", ""); got != 2 {
-		t.Fatalf("cache.hits = %g after second publish, want 2 (delta, not re-add)", got)
-	}
-	if got := reg.Value("cache.misses", ""); got != 1 {
-		t.Fatalf("cache.misses = %g", got)
-	}
-	if got := reg.Value("cache.entries", ""); got != 1 {
-		t.Fatalf("cache.entries gauge = %g", got)
-	}
-	s.Publish(nil) // nil registry is a no-op, not a panic
-}
-
 // TestConcurrentMixedLoad hammers the store from many goroutines with an
 // overlapping key set under -race: the invariant is that every read of a
 // key observes that key's one deterministic value.
 func TestConcurrentMixedLoad(t *testing.T) {
-	s := New(8 << 10) // small enough to force evictions mid-flight
+	s := New(256) // holds only some of the keys; the rest recompute mid-flight
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -197,4 +180,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	if st := s.Stats(); st.Entries == 0 || st.Entries >= 37 {
+		t.Fatalf("stats %+v: want the bound to hold some but not all 37 keys", st)
+	}
 }

@@ -49,27 +49,29 @@ func TestSearchWithCacheByteIdentityAndWarmRerun(t *testing.T) {
 	}
 }
 
-// TestSearchCacheEvictionByteIdentity: a store too small to hold the grid
-// keeps evicting, the warm re-run hits only partially, and the table is
-// still byte-identical — eviction costs time, never correctness.
-func TestSearchCacheEvictionByteIdentity(t *testing.T) {
-	store := cache.New(2048) // a handful of 112-byte entries across 16 shards
+// TestSearchCacheBoundByteIdentity: a store too small to hold the grid
+// admits only its first cells, the re-run hits only those and recomputes
+// the rest, and the table is still byte-identical — the bound costs time,
+// never correctness.
+func TestSearchCacheBoundByteIdentity(t *testing.T) {
+	const held = 5
+	store := cache.New(held * (16 + 8)) // five 16-hex-digit keys and their values
 	cold, err := Search(Options{Grid: testGrid(), Kernels: testKernels(), Workers: 4, Cache: store})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if store.Stats().Evictions == 0 {
-		t.Fatal("tiny store evicted nothing; budget not exercised")
+	if n := store.Stats().Entries; n != held {
+		t.Fatalf("bounded store holds %d entries, want %d", n, held)
 	}
 	rerun, err := Search(Options{Grid: testGrid(), Kernels: testKernels(), Workers: 4, Cache: store})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(marshal(t, cold), marshal(t, rerun)) {
-		t.Error("table differs after evictions forced recomputation")
+		t.Error("table differs after the bound forced recomputation")
 	}
-	if cached, _, total := rerun.CachedCount(); cached >= total {
-		t.Errorf("re-run hit %d of %d cells despite an undersized store", cached, total)
+	if cached, _, _ := rerun.CachedCount(); cached != held {
+		t.Errorf("re-run hit %d cells, want the %d the store held", cached, held)
 	}
 }
 

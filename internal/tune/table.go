@@ -26,9 +26,9 @@ type Cell struct {
 	// In-memory only: the persisted form is identical either way, which is
 	// what makes a warm-started regeneration byte-identical to a cold one.
 	Warm bool `json:"-"`
-	// Cached marks a cell served from the cross-job result cache (a
-	// completed entry or a coalesced in-flight simulation) instead of
-	// being measured by this search. In-memory only, like Warm.
+	// Cached marks a cell served from the result cache (a completed entry
+	// or a coalesced in-flight simulation) instead of being measured by
+	// this search. In-memory only, like Warm.
 	Cached bool `json:"-"`
 	// Dup marks a cell that duplicated another cell of the same search
 	// (identical provenance hash) and copied the leader's result instead
@@ -204,8 +204,8 @@ func (t *Table) WarmCount() (warm, total int) {
 }
 
 // CachedCount reports how many of the table's cells were served by the
-// cross-job result cache during the search that produced it, and how many
-// were duplicates resolved by the in-job dedup. A cell avoided simulation
+// result cache (Options.Cache) during the search that produced it, and how
+// many were duplicates resolved by the in-job dedup. A cell avoided simulation
 // when it is warm, cached or a duplicate; everything else was measured.
 func (t *Table) CachedCount() (cached, dup, total int) {
 	for _, e := range t.Entries {

@@ -558,14 +558,14 @@ type Options struct {
 	// Warm, when non-nil, is a previously persisted table: cells whose
 	// provenance hash still matches are reused without re-simulation.
 	Warm *Table
-	// Cache, when non-nil, is a cross-job content-addressed result store
-	// consulted (after the warm table, before simulating) under each cell's
+	// Cache, when non-nil, is a content-addressed result store consulted
+	// (after the warm table, before simulating) under each cell's
 	// provenance hash. Cells measured by this search — and warm-table
-	// reuses — are written back, so a later identical search, in this
-	// process or any concurrent job sharing the store, hits instead of
-	// re-simulating. The resulting table is byte-identical with or without
-	// a cache at any worker count: the simulator is deterministic, so a
-	// hash hit and a fresh measurement are the same number.
+	// reuses — are written back, so a later identical search on the same
+	// store hits instead of re-simulating. The resulting table is
+	// byte-identical with or without a cache at any worker count: the
+	// simulator is deterministic, so a hash hit and a fresh measurement
+	// are the same number.
 	Cache *cache.Store
 	// Progress, when non-nil, receives one line per kernel as the search
 	// completes it.
@@ -606,7 +606,7 @@ func Search(opts Options) (*Table, error) {
 	// cell's bandwidth, so two cases with one hash — a kernel listed twice,
 	// a grid axis with repeated values — are the same simulation. Only the
 	// first occurrence (the leader) is fanned to the pool; its duplicates
-	// copy the result. This holds even without a cross-job cache.
+	// copy the result. This holds even without a result cache.
 	leaderOf := make(map[string]int) // hash -> leader case index
 	dupOf := make([]int, len(cases)) // case -> leader case index (-1 = leader)
 	var leaders []int                // leader case indices, in case order
