@@ -8,7 +8,6 @@
 //	overlapbench tune [-quick] [-table file] [-cells-csv file] [-cold]
 //	overlapbench mlwork [-quick] [-csv dir]
 //	overlapbench progress [-quick] [-csv dir]
-//	overlapbench bench-diff [-threshold pct] [-alloc-threshold pct] [-fail-on-regression] [-require-env-match] base.json current.json
 //
 // Experiments: fig3, fig4, fig5, fig6, table1, table2, table3, table4,
 // table5 (the paper's artifacts), plus the extensions solver
@@ -46,16 +45,14 @@
 // The directories of -table and -cells-csv are checked before the search
 // starts. -workers must not be negative.
 //
-// bench-diff compares two bench-host artifacts; -threshold,
-// -alloc-threshold and -fail-on-regression turn it into a gate whose timing
-// half arms only when both artifacts share an environment (cores, workers,
-// toolchain — otherwise it reports "env-mismatch: report-only", or errors
-// under -require-env-match). -n overrides the
-// matrix dimension for the kernel tables (default: the paper's 1hsg_70,
-// N = 7645). -csv also writes each experiment's data as <dir>/<id>.csv.
+// -n overrides the matrix dimension for the kernel tables (default: the
+// paper's 1hsg_70, N = 7645). -csv also writes each experiment's data as
+// <dir>/<id>.csv.
 //
 // -trace writes the fig6 operation timeline as Chrome trace-event JSON
-// (load in Perfetto or chrome://tracing). -metrics installs a virtual-time
+// (load in Perfetto or chrome://tracing). -trace without fig6 selected, or
+// -tuned without paperscale selected (by name or through "all"), exits
+// non-zero rather than ignoring the flag. -metrics installs a virtual-time
 // metrics registry into every experiment job and dumps the accumulated
 // counters when the run finishes. -validate-trace checks that a previously
 // exported trace file is well-formed (used by CI) and exits.
@@ -70,7 +67,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"commoverlap/internal/bench"
@@ -129,7 +125,6 @@ func realMain() int {
 	workers := flag.Int("workers", 0, "replica-pool width (0 = OVERLAP_WORKERS or GOMAXPROCS, 1 = sequential)")
 	tuned := flag.Bool("tuned", false, "apply the -table tuning table to the paperscale experiment")
 	tablePath := flag.String("table", "TUNING.json", "tuning table for -tuned and the tuned experiment")
-	benchOut := flag.String("bench-out", "BENCH_wallclock.json", "output path for the bench-host artifact")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -175,24 +170,6 @@ func realMain() int {
 		return 0
 	}
 	exps := flag.Args()
-	if len(exps) > 0 && exps[0] == "bench-host" {
-		if len(exps) > 1 {
-			fmt.Fprintf(os.Stderr, "bench-host: unexpected arguments %q\nusage: overlapbench bench-host [-bench-out file]\n", exps[1:])
-			return 2
-		}
-		if err := runBenchHost(*benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-host: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if len(exps) > 0 && exps[0] == "bench-diff" {
-		if err := runBenchDiff(exps[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-diff: %v\n", err)
-			return 1
-		}
-		return 0
-	}
 	if len(exps) > 0 && exps[0] == "tune" {
 		if err := runTune(exps[1:], *workers); err != nil {
 			fmt.Fprintf(os.Stderr, "tune: %v\n", err)
@@ -228,7 +205,7 @@ func realMain() int {
 				"usage: overlapbench [flags] [experiment ...]\n"+
 				"experiments: fig3 fig4 fig5 fig6 table1 table2 table3 table4 table5\n"+
 				"             solver algos ablate sparse scaling topo paperscale tuned noise report all\n"+
-				"subcommands: tune mlwork progress bench-host bench-diff\n", e)
+				"subcommands: tune mlwork progress\n", e)
 			return 2
 		}
 	}
@@ -237,6 +214,16 @@ func realMain() int {
 		want[e] = true
 	}
 	all := want["all"]
+	// Flags that feed one experiment must not be dropped silently when that
+	// experiment does not run.
+	if *tracePath != "" && !all && !want["fig6"] {
+		fmt.Fprintf(os.Stderr, "overlapbench: -trace exports the fig6 timeline, but fig6 is not selected (name fig6 or all)\n")
+		return 2
+	}
+	if *tuned && !all && !want["paperscale"] {
+		fmt.Fprintf(os.Stderr, "overlapbench: -tuned applies to paperscale, but paperscale is not selected (name paperscale or all)\n")
+		return 2
+	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -436,79 +423,6 @@ func realMain() int {
 		bench.Metrics.WriteText(os.Stdout)
 	}
 	return code
-}
-
-// runBenchHost measures the simulator's host performance (micro benchmarks
-// plus sequential-vs-parallel regeneration times for every experiment) and
-// writes the BENCH_wallclock.json artifact.
-func runBenchHost(outPath string) error {
-	fmt.Printf("Host benchmark (%d cores):\n", runtime.NumCPU())
-	rep, err := bench.HostBench(os.Stdout)
-	if err != nil {
-		return err
-	}
-	if err := writeFile(outPath, rep.WriteJSON); err != nil {
-		return err
-	}
-	fmt.Printf("  [wrote %s: full sweep %.1fs sequential, %.1fs on %d workers (%.2fx)]\n",
-		outPath, rep.TotalSequentialS, rep.TotalParallelS, rep.Workers, rep.Speedup)
-	return nil
-}
-
-// runBenchDiff compares two bench-host artifacts (base then current). By
-// default it is report-only — wall-clock numbers are hardware-dependent —
-// but -threshold sets the slowdown percentage beyond which a timing is
-// flagged and -fail-on-regression turns flagged regressions into a
-// non-zero exit. The timing gate only fires when both artifacts come from
-// the same environment (cores, workers, toolchain); on a mismatch the diff
-// prints an explicit "env-mismatch: report-only" banner instead of
-// pretending the hardware delta is a code regression (-require-env-match
-// turns the mismatch itself into an error). The allocation gate
-// (-alloc-threshold) stays active across hardware changes: allocs/op
-// depends on the code and toolchain, not the core count.
-func runBenchDiff(args []string) error {
-	fs := flag.NewFlagSet("bench-diff", flag.ContinueOnError)
-	threshold := fs.Float64("threshold", 10, "flag timings that slowed down by more than this percentage")
-	allocThreshold := fs.Float64("alloc-threshold", 10, "flag micro benches whose allocs/op grew by more than this percentage")
-	failOn := fs.Bool("fail-on-regression", false, "exit non-zero when any active gate flagged a regression")
-	requireEnv := fs.Bool("require-env-match", false, "exit non-zero when the artifacts' cores/workers/toolchain differ")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	paths := fs.Args()
-	if len(paths) != 2 {
-		return fmt.Errorf("usage: overlapbench bench-diff [-threshold pct] [-alloc-threshold pct] [-fail-on-regression] [-require-env-match] <base.json> <current.json>")
-	}
-	var reps [2]bench.HostReport
-	for i, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
-			return err
-		}
-		reps[i], err = bench.ReadHostReport(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", p, err)
-		}
-	}
-	res := bench.DiffHostReports(os.Stdout, reps[0], reps[1], bench.DiffOptions{
-		TimingThresholdPct: *threshold,
-		AllocThresholdPct:  *allocThreshold,
-	})
-	if *requireEnv && len(res.EnvMismatches) > 0 {
-		return fmt.Errorf("environment mismatch: %s", strings.Join(res.EnvMismatches, "; "))
-	}
-	if *failOn {
-		if res.TimingGateActive && res.TimingRegressions > 0 {
-			return fmt.Errorf("%d timing(s) regressed more than %.1f%%", res.TimingRegressions, *threshold)
-		}
-		if res.AllocGateActive && res.AllocRegressions > 0 {
-			return fmt.Errorf("%d micro bench(es) grew allocs/op more than %.1f%%", res.AllocRegressions, *allocThreshold)
-		}
-	}
-	return nil
 }
 
 // runMLWork runs the ML-workload experiment: the three training

@@ -36,6 +36,7 @@ func TestCLIArgValidation(t *testing.T) {
 		name     string
 		args     []string
 		wantOK   bool
+		wantCode int    // required non-zero exit status (0 = any)
 		wantOut  string // substring of combined output
 		wantFile string // file that must exist afterwards
 	}{
@@ -51,10 +52,12 @@ func TestCLIArgValidation(t *testing.T) {
 			wantOut: "usage: overlapbench mlwork"},
 		{name: "mlwork unknown flag", args: []string{"mlwork", "-frobnicate"},
 			wantOut: "flag provided but not defined"},
-		{name: "bench-host trailing junk", args: []string{"bench-host", "junk"},
-			wantOut: "usage: overlapbench bench-host"},
-		{name: "bench-diff missing paths", args: []string{"bench-diff"},
-			wantOut: "usage: overlapbench bench-diff"},
+		{name: "removed bench-host subcommand", args: []string{"bench-host"},
+			wantCode: 2, wantOut: `unknown experiment or subcommand "bench-host"`},
+		{name: "trace without fig6", args: []string{"-trace", filepath.Join(csvDir, "t.json"), "fig4"},
+			wantCode: 2, wantOut: "-trace exports the fig6 timeline"},
+		{name: "tuned without paperscale", args: []string{"-tuned", "-table", missingTable, "fig4"},
+			wantCode: 2, wantOut: "-tuned applies to paperscale"},
 		{name: "valid experiment", args: []string{"fig4"},
 			wantOK: true, wantOut: "fig4 regenerated"},
 		{name: "mlwork quick with csv", args: []string{"mlwork", "-quick", "-csv", csvDir},
@@ -72,7 +75,7 @@ func TestCLIArgValidation(t *testing.T) {
 		{name: "negative n ablate", args: []string{"-n", "-5", "ablate"},
 			wantOut: "N = -5"},
 		{name: "removed serve subcommand", args: []string{"serve"},
-			wantOut: `unknown experiment or subcommand "serve"`},
+			wantCode: 2, wantOut: `unknown experiment or subcommand "serve"`},
 		{name: "negative workers", args: []string{"-workers", "-3", "fig4"},
 			wantOut: "-workers -3"},
 		{name: "removed tune cache flag", args: []string{"tune", "-cache"},
@@ -86,6 +89,9 @@ func TestCLIArgValidation(t *testing.T) {
 			out, err := exec.Command(exe, tc.args...).CombinedOutput()
 			if ok := err == nil; ok != tc.wantOK {
 				t.Fatalf("args %q: exit ok=%v, want %v\noutput:\n%s", tc.args, ok, tc.wantOK, out)
+			}
+			if ee, ok := err.(*exec.ExitError); ok && tc.wantCode != 0 && ee.ExitCode() != tc.wantCode {
+				t.Errorf("args %q: exit status %d, want %d", tc.args, ee.ExitCode(), tc.wantCode)
 			}
 			if !strings.Contains(string(out), tc.wantOut) {
 				t.Errorf("args %q: output missing %q:\n%s", tc.args, tc.wantOut, out)
@@ -115,14 +121,14 @@ func TestProfileFlushOnError(t *testing.T) {
 	mem := filepath.Join(dir, "mem.pprof")
 	args := []string{
 		"-cpuprofile", cpu, "-memprofile", mem,
-		"bench-diff", filepath.Join(dir, "missing-a.json"), filepath.Join(dir, "missing-b.json"),
+		"tune", "-quick", "-table", filepath.Join(dir, "missing", "T.json"),
 	}
 	out, err := exec.Command(exe, args...).CombinedOutput()
 	if err == nil {
-		t.Fatalf("args %q: want non-zero exit for missing artifacts\noutput:\n%s", args, out)
+		t.Fatalf("args %q: want non-zero exit for an unwritable table\noutput:\n%s", args, out)
 	}
-	if !strings.Contains(string(out), "bench-diff:") {
-		t.Errorf("args %q: output missing the bench-diff error:\n%s", args, out)
+	if !strings.Contains(string(out), "tune:") {
+		t.Errorf("args %q: output missing the tune error:\n%s", args, out)
 	}
 	for _, p := range []string{cpu, mem} {
 		st, err := os.Stat(p)
