@@ -52,8 +52,10 @@ func TestCLIArgValidation(t *testing.T) {
 			wantOut: "usage: overlapbench mlwork"},
 		{name: "mlwork unknown flag", args: []string{"mlwork", "-frobnicate"},
 			wantOut: "flag provided but not defined"},
-		{name: "removed bench-host subcommand", args: []string{"bench-host"},
+		{name: "bench-host trailing junk", args: []string{"bench-host", "junk"},
 			wantCode: 2, wantOut: `unknown experiment or subcommand "bench-host"`},
+		{name: "bench-diff missing paths", args: []string{"bench-diff"},
+			wantCode: 2, wantOut: `unknown experiment or subcommand "bench-diff"`},
 		{name: "trace without fig6", args: []string{"-trace", filepath.Join(csvDir, "t.json"), "fig4"},
 			wantCode: 2, wantOut: "-trace exports the fig6 timeline"},
 		{name: "tuned without paperscale", args: []string{"-tuned", "-table", missingTable, "fig4"},
