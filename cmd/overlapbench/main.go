@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	overlapbench [-n dim] [-csv dir] [-trace file] [-metrics] [-noise] [experiment ...]
+//	overlapbench [-n dim] [-csv dir] [-trace file] [-metrics] [experiment ...]
 //	overlapbench -validate-trace file
 //	overlapbench tune [-quick] [-table file] [-cells-csv file] [-cold]
 //	overlapbench mlwork [-quick] [-csv dir]
@@ -15,9 +15,9 @@
 // ablate (design-knob sensitivity), sparse (block-sparse SUMMA), scaling
 // (strong scaling), topo (the same allreduce swept over N_DUP, PPN and the
 // collective-algorithm family on the flat vs the hierarchical fabric — the
-// tuned winner is fabric-dependent), noise (the skew-resilience experiment: Fig. 5's cases
-// re-measured under seeded machine noise from internal/faults — also
-// reachable as the -noise flag), paperscale (64-node collectives plus
+// tuned winner is fabric-dependent), noise (the skew-resilience experiment:
+// Fig. 5's cases re-measured under seeded machine noise from
+// internal/faults), paperscale (64-node collectives plus
 // kernel/application strong scaling to 216 nodes; add -tuned to apply the
 // -table tuning table), tuned (the tuned-vs-fixed workload comparison over
 // the -table tuning table; like report it only runs when named) and report
@@ -120,7 +120,6 @@ func realMain() int {
 	csvDir := flag.String("csv", "", "directory to write <experiment>.csv files into")
 	tracePath := flag.String("trace", "", "write the fig6 timeline as Chrome trace JSON to this file")
 	showMetrics := flag.Bool("metrics", false, "accumulate and print virtual-time metrics across the runs")
-	noiseOnly := flag.Bool("noise", false, "run the skew-resilience (machine noise) experiment")
 	validate := flag.String("validate-trace", "", "validate a Chrome trace JSON file and exit")
 	workers := flag.Int("workers", 0, "replica-pool width (0 = OVERLAP_WORKERS or GOMAXPROCS, 1 = sequential)")
 	tuned := flag.Bool("tuned", false, "apply the -table tuning table to the paperscale experiment")
@@ -190,9 +189,6 @@ func realMain() int {
 			return 1
 		}
 		return 0
-	}
-	if *noiseOnly {
-		exps = append(exps, "noise")
 	}
 	if len(exps) == 0 {
 		exps = []string{"all"}

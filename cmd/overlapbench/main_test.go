@@ -82,6 +82,8 @@ func TestCLIArgValidation(t *testing.T) {
 			wantOut: "-workers -3"},
 		{name: "removed tune cache flag", args: []string{"tune", "-cache"},
 			wantOut: "flag provided but not defined"},
+		{name: "removed noise flag", args: []string{"-noise"},
+			wantCode: 2, wantOut: "flag provided but not defined"},
 		{name: "tune missing table directory", args: []string{"tune", "-quick", "-table", missingTable},
 			wantOut: "cannot write " + missingTable},
 	}

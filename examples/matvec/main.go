@@ -15,10 +15,10 @@ import (
 	"sync"
 
 	"commoverlap/internal/core"
+	"commoverlap/internal/machine"
 	"commoverlap/internal/mat"
 	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/sim"
 	"commoverlap/internal/simnet"
 )
 
@@ -61,19 +61,11 @@ func main() {
 
 func runReal(q, n, ndup int, a *mat.Matrix, x []float64, overlapped bool) []float64 {
 	dims := mesh.Dims{Q: q, C: 1}
-	eng := sim.NewEngine()
-	net, err := simnet.New(eng, simnet.DefaultConfig(min(q*q, 8)))
-	if err != nil {
-		log.Fatal(err)
-	}
-	w, err := mpi.NewWorld(net, dims.Size(), nil)
-	if err != nil {
-		log.Fatal(err)
-	}
 	bd := mat.BlockDim{N: n, P: q}
 	var mu sync.Mutex
 	got := make([]float64, n)
-	w.Launch(func(pr *mpi.Proc) {
+	m := machine.Spec{Config: simnet.DefaultConfig(min(q*q, 8)), Ranks: dims.Size()}
+	_, err := m.Run(func(pr *mpi.Proc) {
 		i, j, _ := dims.Coords(pr.Rank())
 		blk := mat.BlockView(a, q, i, j).Clone()
 		mv, err := core.NewMatVec(pr, q, core.Config{N: n, NDup: ndup, Real: true}, blk)
@@ -94,25 +86,16 @@ func runReal(q, n, ndup int, a *mat.Matrix, x []float64, overlapped bool) []floa
 			mu.Unlock()
 		}
 	})
-	if err := eng.Run(); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
 	return got
 }
 
 func runPhantom(q, n, ndup int, overlapped bool) float64 {
-	dims := mesh.Dims{Q: q, C: 1}
-	eng := sim.NewEngine()
-	net, err := simnet.New(eng, simnet.DefaultConfig(min(q*q, 16)))
-	if err != nil {
-		log.Fatal(err)
-	}
-	w, err := mpi.NewWorld(net, dims.Size(), nil)
-	if err != nil {
-		log.Fatal(err)
-	}
 	var worst float64
-	w.Launch(func(pr *mpi.Proc) {
+	m := machine.Spec{Config: simnet.DefaultConfig(min(q*q, 16)), Ranks: q * q}
+	_, err := m.Run(func(pr *mpi.Proc) {
 		mv, err := core.NewMatVec(pr, q, core.Config{N: n, NDup: ndup}, nil)
 		if err != nil {
 			panic(err)
@@ -129,15 +112,8 @@ func runPhantom(q, n, ndup int, overlapped bool) float64 {
 			worst = dt
 		}
 	})
-	if err := eng.Run(); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
 	return worst
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -13,9 +13,9 @@ import (
 	"log"
 
 	"commoverlap/internal/core"
+	"commoverlap/internal/machine"
 	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/sim"
 	"commoverlap/internal/simnet"
 )
 
@@ -47,25 +47,12 @@ func main() {
 // for a p^3-mesh SymmSquareCube, parks the rest, and returns the kernel's
 // virtual time.
 func run(nodes, launched, activePPN, p, n int) float64 {
-	eng := sim.NewEngine()
-	net, err := simnet.New(eng, simnet.DefaultConfig(nodes))
-	if err != nil {
-		log.Fatal(err)
-	}
-	total := nodes * launched
-	// Placement interleaves so that the first nodes*activePPN ranks spread
-	// activePPN per node: rank r sits on node r % nodes.
-	placement := make([]int, total)
-	for r := range placement {
-		placement[r] = r % nodes
-	}
-	w, err := mpi.NewWorld(net, total, placement)
-	if err != nil {
-		log.Fatal(err)
-	}
 	dims := mesh.Cubic(p)
 	var kernelTime float64
-	w.Launch(func(pr *mpi.Proc) {
+	// The default round-robin placement puts rank r on node r % nodes, so
+	// the first nodes*activePPN ranks spread activePPN per node.
+	m := machine.Spec{Config: simnet.DefaultConfig(nodes), Ranks: nodes * launched}
+	_, err := m.Run(func(pr *mpi.Proc) {
 		// Communicator creation is collective, so the kernel's
 		// subcommunicator is split off while every rank is still awake —
 		// only then do the surplus ranks park.
@@ -93,7 +80,7 @@ func run(nodes, launched, activePPN, p, n int) float64 {
 			}
 		})
 	})
-	if err := eng.Run(); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
 	return kernelTime

@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"log"
 
+	"commoverlap/internal/machine"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/sim"
 	"commoverlap/internal/simnet"
 )
 
@@ -19,18 +19,10 @@ func main() {
 		size  = 8 << 20 // 8 MB payload
 		ndup  = 4
 	)
-	eng := sim.NewEngine()
-	net, err := simnet.New(eng, simnet.DefaultConfig(nodes))
-	if err != nil {
-		log.Fatal(err)
-	}
-	world, err := mpi.NewWorld(net, nodes, nil) // one rank per node
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	var blocking, overlapped float64
-	world.Launch(func(p *mpi.Proc) {
+	// One rank per node: the machine's default round-robin placement.
+	m := machine.Spec{Config: simnet.DefaultConfig(nodes), Ranks: nodes}
+	_, err := m.Run(func(p *mpi.Proc) {
 		c := p.World()
 
 		// A reduction followed by a broadcast, blocking: the broadcast
@@ -69,7 +61,7 @@ func main() {
 			overlapped = p.Now() - t1
 		}
 	})
-	if err := eng.Run(); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
 

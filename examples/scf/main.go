@@ -1,9 +1,9 @@
-// Command scfdemo runs the miniature self-consistent-field application on
-// the simulated cluster, demonstrating the paper's per-kernel PPN
-// mechanism: the job launches more ranks than the purification kernel
-// wants; the surplus parks on an Ibarrier during purification and wakes
-// for each Fock build. The distributed result is checked against the
-// serial SCF reference.
+// Scf runs the miniature self-consistent-field application (internal/scf,
+// modeled on GTFock's Hartree–Fock loop) on the simulated cluster,
+// demonstrating the paper's per-kernel PPN mechanism: the job launches more
+// ranks than the purification kernel wants; the surplus parks on an
+// Ibarrier during purification and wakes for each Fock build. The
+// distributed result is checked against the serial SCF reference.
 package main
 
 import (
@@ -13,11 +13,11 @@ import (
 	"sync"
 
 	"commoverlap/internal/core"
+	"commoverlap/internal/machine"
 	"commoverlap/internal/mat"
 	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/scf"
-	"commoverlap/internal/sim"
 	"commoverlap/internal/simnet"
 )
 
@@ -40,21 +40,11 @@ func main() {
 		refSt.SCFIters, refSt.PurifyIters, refSt.Converged)
 
 	dims := mesh.Cubic(*meshP)
-	total := dims.Size() + *extras
-	eng := sim.NewEngine()
-	net, err := simnet.New(eng, simnet.DefaultConfig(8))
-	if err != nil {
-		log.Fatal(err)
-	}
-	w, err := mpi.NewWorld(net, total, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	var mu sync.Mutex
 	got := mat.New(*n, *n)
 	var gotSt scf.Stats
-	w.Launch(func(pr *mpi.Proc) {
+	m := machine.Spec{Config: simnet.DefaultConfig(8), Ranks: dims.Size() + *extras}
+	_, err = m.Run(func(pr *mpi.Proc) {
 		active := pr.Rank() < dims.Size()
 		color := 1
 		if active {
@@ -88,7 +78,7 @@ func main() {
 			mu.Unlock()
 		}
 	})
-	if err := eng.Run(); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
 

@@ -13,9 +13,9 @@ import (
 	"log"
 	"math/rand"
 
+	"commoverlap/internal/machine"
 	"commoverlap/internal/mat"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/sim"
 	"commoverlap/internal/simnet"
 	"commoverlap/internal/solver"
 )
@@ -55,19 +55,11 @@ func main() {
 }
 
 func solveReal(ranks, n int, stencil, b []float64, pipelined bool) (solver.Result, []float64) {
-	eng := sim.NewEngine()
-	net, err := simnet.New(eng, simnet.DefaultConfig(4))
-	if err != nil {
-		log.Fatal(err)
-	}
-	w, err := mpi.NewWorld(net, ranks, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
 	bd := mat.BlockDim{N: n, P: ranks}
 	x := make([]float64, n)
 	var res solver.Result
-	w.Launch(func(pr *mpi.Proc) {
+	m := machine.Spec{Config: simnet.DefaultConfig(4), Ranks: ranks}
+	_, err := m.Run(func(pr *mpi.Proc) {
 		cg, err := solver.New(pr, pr.World(), n, stencil, true, 1)
 		if err != nil {
 			panic(err)
@@ -87,24 +79,16 @@ func solveReal(ranks, n int, stencil, b []float64, pipelined bool) (solver.Resul
 			res = r
 		}
 	})
-	if err := eng.Run(); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
 	return res, x
 }
 
 func solvePhantom(ranks int, pipelined bool) float64 {
-	eng := sim.NewEngine()
-	net, err := simnet.New(eng, simnet.DefaultConfig(ranks))
-	if err != nil {
-		log.Fatal(err)
-	}
-	w, err := mpi.NewWorld(net, ranks, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
 	var out float64
-	w.Launch(func(pr *mpi.Proc) {
+	m := machine.Spec{Config: simnet.DefaultConfig(ranks), Ranks: ranks}
+	_, err := m.Run(func(pr *mpi.Proc) {
 		cg, err := solver.New(pr, pr.World(), ranks*200000, solver.NewStencil(8), false, 1)
 		if err != nil {
 			panic(err)
@@ -120,7 +104,7 @@ func solvePhantom(ranks int, pipelined bool) float64 {
 			out = r.Time
 		}
 	})
-	if err := eng.Run(); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
 	return out

@@ -13,11 +13,10 @@ import (
 	"sync"
 
 	"commoverlap/internal/core"
+	"commoverlap/internal/machine"
 	"commoverlap/internal/mat"
-	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/purify"
-	"commoverlap/internal/sim"
 	"commoverlap/internal/simnet"
 	"commoverlap/internal/sparse"
 )
@@ -57,20 +56,11 @@ func main() {
 }
 
 func runKernel(q, n int, h *sparse.CSR, pipelined bool) (d2, d3 *sparse.CSR, elapsed float64) {
-	dims := mesh.Dims{Q: q, C: 1}
-	eng := sim.NewEngine()
-	net, err := simnet.New(eng, simnet.DefaultConfig(min(q*q, 8)))
-	if err != nil {
-		log.Fatal(err)
-	}
-	w, err := mpi.NewWorld(net, dims.Size(), nil)
-	if err != nil {
-		log.Fatal(err)
-	}
 	gd2 := mat.New(n, n)
 	gd3 := mat.New(n, n)
 	var mu sync.Mutex
-	w.Launch(func(pr *mpi.Proc) {
+	m := machine.Spec{Config: simnet.DefaultConfig(min(q*q, 8)), Ranks: q * q}
+	_, err := m.Run(func(pr *mpi.Proc) {
 		env, err := core.NewSpEnv(pr, q, n, 2, 1, 0)
 		if err != nil {
 			panic(err)
@@ -86,15 +76,8 @@ func runKernel(q, n int, h *sparse.CSR, pipelined bool) (d2, d3 *sparse.CSR, ela
 		}
 		mu.Unlock()
 	})
-	if err := eng.Run(); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
 	return sparse.FromDense(gd2, 0), sparse.FromDense(gd3, 0), elapsed
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

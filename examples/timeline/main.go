@@ -14,9 +14,9 @@ import (
 	"sync"
 
 	"commoverlap/internal/core"
+	"commoverlap/internal/machine"
 	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/sim"
 	"commoverlap/internal/simnet"
 	"commoverlap/internal/trace"
 )
@@ -34,20 +34,11 @@ func main() {
 	}[*variantName]
 
 	dims := mesh.Cubic(*p)
-	eng := sim.NewEngine()
-	net, err := simnet.New(eng, simnet.DefaultConfig(dims.Size()))
-	if err != nil {
-		log.Fatal(err)
-	}
-	w, err := mpi.NewWorld(net, dims.Size(), nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	var mu sync.Mutex
 	var rec trace.Recorder
 	phaseStart := map[int]float64{} // rank -> previous label's time
-	w.Launch(func(pr *mpi.Proc) {
+	m := machine.Spec{Config: simnet.DefaultConfig(dims.Size()), Ranks: dims.Size()}
+	_, err := m.Run(func(pr *mpi.Proc) {
 		env, err := core.NewEnv(pr, dims, core.Config{N: *n, NDup: *ndup})
 		if err != nil {
 			panic(err)
@@ -66,7 +57,7 @@ func main() {
 		env.M.World.Barrier()
 		env.SymmSquareCube(variant, nil)
 	})
-	if err := eng.Run(); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
 

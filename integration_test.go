@@ -10,11 +10,11 @@ import (
 	"testing"
 
 	"commoverlap/internal/core"
+	"commoverlap/internal/machine"
 	"commoverlap/internal/mat"
 	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/purify"
-	"commoverlap/internal/sim"
 	"commoverlap/internal/simnet"
 )
 
@@ -32,19 +32,11 @@ func TestEndToEndPurification(t *testing.T) {
 
 	run := func(v core.Variant, ndup int) (*mat.Matrix, purify.Stats) {
 		dims := mesh.Cubic(p)
-		eng := sim.NewEngine()
-		net, err := simnet.New(eng, simnet.DefaultConfig(dims.Size()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := mpi.NewWorld(net, dims.Size(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var mu sync.Mutex
 		got := mat.New(n, n)
 		var st purify.Stats
-		w.Launch(func(pr *mpi.Proc) {
+		m := machine.Spec{Config: simnet.DefaultConfig(dims.Size()), Ranks: dims.Size()}
+		_, err := m.Run(func(pr *mpi.Proc) {
 			env, err := core.NewEnv(pr, dims, core.Config{N: n, NDup: ndup, Real: true})
 			if err != nil {
 				t.Error(err)
@@ -66,7 +58,7 @@ func TestEndToEndPurification(t *testing.T) {
 				mu.Unlock()
 			}
 		})
-		if err := eng.Run(); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
 		return got, st
@@ -94,18 +86,13 @@ func TestEndToEndPurification(t *testing.T) {
 func TestOverlapPaysAtScale(t *testing.T) {
 	measure := func(v core.Variant, p, ndup, ppn int) float64 {
 		dims := mesh.Cubic(p)
-		nodes := mesh.NodesNeeded(dims.Size(), ppn)
-		eng := sim.NewEngine()
-		net, err := simnet.New(eng, simnet.DefaultConfig(nodes))
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := mpi.NewWorld(net, dims.Size(), mesh.NaturalPlacement(dims.Size(), ppn))
-		if err != nil {
-			t.Fatal(err)
-		}
 		var worst float64
-		w.Launch(func(pr *mpi.Proc) {
+		m := machine.Spec{
+			Config:    simnet.DefaultConfig(mesh.NodesNeeded(dims.Size(), ppn)),
+			Ranks:     dims.Size(),
+			Placement: mesh.NaturalPlacement(dims.Size(), ppn),
+		}
+		_, err := m.Run(func(pr *mpi.Proc) {
 			env, err := core.NewEnv(pr, dims, core.Config{N: 4000, NDup: ndup, PPN: ppn})
 			if err != nil {
 				t.Error(err)
@@ -117,7 +104,7 @@ func TestOverlapPaysAtScale(t *testing.T) {
 				worst = res.Time
 			}
 		})
-		if err := eng.Run(); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
 		return worst

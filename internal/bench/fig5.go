@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 
+	"commoverlap/internal/faults"
+	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
 )
 
@@ -115,12 +117,14 @@ func CollectiveBandwidth(op string, cc CollCase, total int64) (float64, error) {
 
 // collectiveRun measures one Fig. 5 cell and the run's lane utilization.
 func collectiveRun(op string, cc CollCase, total int64) (float64, UtilStats, error) {
-	return collectiveRunNodes(op, cc, total, fig5Nodes)
+	return collectiveRunNodes(op, cc, total, fig5Nodes, 0)
 }
 
-// collectiveRunNodes is collectiveRun on a machine of p nodes — the Fig. 5
-// micro-benchmark generalized to the paper-scale sweep.
-func collectiveRunNodes(op string, cc CollCase, total int64, p int) (float64, UtilStats, error) {
+// collectiveRunNodes is collectiveRun on a machine of p nodes under
+// faults.Noise(noiseSeed, amp) — the Fig. 5 micro-benchmark generalized to
+// the paper-scale sweep and the skew-resilience experiment. Amplitude 0
+// (an all-zero config) runs clean with no injector installed.
+func collectiveRunNodes(op string, cc CollCase, total int64, p int, amp float64) (float64, UtilStats, error) {
 	ppn, ndup := 1, 1
 	switch cc {
 	case NonblockingOverlap:
@@ -130,7 +134,7 @@ func collectiveRunNodes(op string, cc CollCase, total int64, p int) (float64, Ut
 	}
 	size := p * ppn
 	var elapsed float64
-	w, err := job(p, size, mesh4Placement(p, ppn), func(pr *mpi.Proc) {
+	body := func(pr *mpi.Proc) {
 		// Column communicators: one rank per node each (paper Fig. 4).
 		col := pr.World().Split(pr.Rank()%ppn, pr.Rank()/ppn)
 		comms := col.DupN(ndup)
@@ -153,20 +157,22 @@ func collectiveRunNodes(op string, cc CollCase, total int64, p int) (float64, Ut
 		if dt := pr.Now() - t0; dt > elapsed {
 			elapsed = dt
 		}
-	})
+	}
+	eng, w, err := machineFor(p, size, mesh.NaturalPlacement(size, ppn)).Build()
 	if err != nil {
+		return 0, UtilStats{}, err
+	}
+	if cfg := faults.Noise(noiseSeed, amp); cfg != (faults.Config{Seed: cfg.Seed}) {
+		inj, err := faults.New(cfg)
+		if err != nil {
+			return 0, UtilStats{}, err
+		}
+		inj.Install(w)
+	}
+	w.Launch(body)
+	if err := eng.Run(); err != nil {
 		return 0, UtilStats{}, err
 	}
 	vol := 2 * float64(p-1) / float64(p) * float64(total)
 	return vol / elapsed, utilization(w), nil
-}
-
-// mesh4Placement puts ranks on nodes so that world rank r lives on node
-// r/ppn (natural placement).
-func mesh4Placement(nodes, ppn int) []int {
-	pl := make([]int, nodes*ppn)
-	for r := range pl {
-		pl[r] = r / ppn
-	}
-	return pl
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/trace"
 )
@@ -239,7 +240,7 @@ func timelineOverlap(op string) ([]TimelineEntry, UtilStats, error) {
 func timelinePPN(op string) ([]TimelineEntry, UtilStats, error) {
 	const ppn = 4
 	entries := make([]TimelineEntry, ppn)
-	w, err := job(fig5Nodes, fig5Nodes*ppn, mesh4Placement(fig5Nodes, ppn), func(pr *mpi.Proc) {
+	w, err := job(fig5Nodes, fig5Nodes*ppn, mesh.NaturalPlacement(fig5Nodes*ppn, ppn), func(pr *mpi.Proc) {
 		col := pr.World().Split(pr.Rank()%ppn, pr.Rank()/ppn)
 		pr.World().Barrier()
 		t0 := pr.Now()

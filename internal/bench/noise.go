@@ -1,11 +1,6 @@
 package bench
 
-import (
-	"io"
-
-	"commoverlap/internal/faults"
-	"commoverlap/internal/mpi"
-)
+import "io"
 
 // The skew-resilience experiment: the paper's Fig. 5 micro-benchmark cases
 // re-measured on a progressively noisier machine (stragglers, degraded
@@ -58,7 +53,8 @@ func Noise(w io.Writer) (NoiseResult, error) {
 	}
 	fprintf(w, "\n")
 	cells, err := parcases(len(res.Amps)*3, func(i int) (float64, error) {
-		return noisyCollectiveRun("reduce", CollCase(i%3), noiseSize, res.Amps[i/3])
+		bw, _, err := collectiveRunNodes("reduce", CollCase(i%3), noiseSize, fig5Nodes, res.Amps[i/3])
+		return bw, err
 	})
 	if err != nil {
 		return res, err
@@ -76,60 +72,4 @@ func Noise(w io.Writer) (NoiseResult, error) {
 	fprintf(w, "\nRetention = bandwidth / the same case's clean-machine bandwidth.\n")
 	fprintf(w, "Overlapped cases degrade more gracefully: their spare bands keep the\nwire busy through stalls that sit on the blocking case's critical path.\n")
 	return res, nil
-}
-
-// noisyCollectiveRun measures one (case, amplitude) cell: the Fig. 5
-// collective job with a seeded fault injector installed between world
-// construction and launch. Amplitude 0 (an all-zero config) runs clean with
-// no injector, so the baseline is exactly collectiveRun's machine.
-func noisyCollectiveRun(op string, cc CollCase, total int64, amp float64) (float64, error) {
-	p := fig5Nodes
-	ppn, ndup := 1, 1
-	switch cc {
-	case NonblockingOverlap:
-		ndup = 4
-	case MultiPPNOverlap:
-		ppn = 4
-	}
-	var elapsed float64
-	body := func(pr *mpi.Proc) {
-		col := pr.World().Split(pr.Rank()%ppn, pr.Rank()/ppn)
-		comms := col.DupN(ndup)
-		pr.World().Barrier()
-		t0 := pr.Now()
-		share := total / int64(ppn) / int64(ndup)
-		if share == 0 {
-			share = 1
-		}
-		reqs := make([]*mpi.Request, ndup)
-		for d := 0; d < ndup; d++ {
-			b := mpi.Phantom(share)
-			if op == "bcast" {
-				reqs[d] = comms[d].Ibcast(0, b)
-			} else {
-				reqs[d] = comms[d].Ireduce(0, b, b, mpi.OpSum)
-			}
-		}
-		mpi.Waitall(reqs...)
-		if dt := pr.Now() - t0; dt > elapsed {
-			elapsed = dt
-		}
-	}
-	eng, w, err := machineFor(p, p*ppn, mesh4Placement(p, ppn)).Build()
-	if err != nil {
-		return 0, err
-	}
-	if cfg := faults.Noise(noiseSeed, amp); cfg != (faults.Config{Seed: cfg.Seed}) {
-		inj, err := faults.New(cfg)
-		if err != nil {
-			return 0, err
-		}
-		inj.Install(w)
-	}
-	w.Launch(body)
-	if err := eng.Run(); err != nil {
-		return 0, err
-	}
-	vol := 2 * float64(p-1) / float64(p) * float64(total)
-	return vol / elapsed, nil
 }

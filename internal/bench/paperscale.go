@@ -86,7 +86,7 @@ func PaperScale(w io.Writer, n int) (PaperScaleResult, error) {
 	const perMesh = 3
 	cells, err := parcases(3+len(paperScaleMeshes)*perMesh, func(i int) (float64, error) {
 		if i < 3 {
-			bw, _, err := collectiveRunNodes("reduce", CollCase(i), paperScaleSize, PaperScaleNodes)
+			bw, _, err := collectiveRunNodes("reduce", CollCase(i), paperScaleSize, PaperScaleNodes, 0)
 			return bw, err
 		}
 		p := paperScaleMeshes[(i-3)/perMesh]

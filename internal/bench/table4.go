@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"commoverlap/internal/core"
+	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
 )
 
@@ -89,7 +90,7 @@ func ppnCollectiveBW(op string, ppn int) (float64, error) {
 	const total = 16 << 20
 	p := fig5Nodes
 	var elapsed float64
-	_, err := job(p, p*ppn, mesh4Placement(p, ppn), func(pr *mpi.Proc) {
+	_, err := job(p, p*ppn, mesh.NaturalPlacement(p*ppn, ppn), func(pr *mpi.Proc) {
 		col := pr.World().Split(pr.Rank()%ppn, pr.Rank()/ppn)
 		pr.World().Barrier()
 		t0 := pr.Now()
