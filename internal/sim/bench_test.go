@@ -56,3 +56,36 @@ func BenchmarkResourceReserve(b *testing.B) {
 		ready = done - 5e-7
 	}
 }
+
+// BenchmarkStepThroughput is BenchmarkEventThroughput for step processes:
+// the same schedule, dispatched inline with no goroutine handoff.
+func BenchmarkStepThroughput(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	const procs = 64
+	stop := false
+	for i := 0; i < procs; i++ {
+		e.SpawnStep("p", func(p *Proc) bool {
+			if stop {
+				return true
+			}
+			p.WakeAt(p.Now() + 1)
+			return false
+		})
+	}
+	first := true
+	e.SpawnStep("ctl", func(p *Proc) bool {
+		if first {
+			first = false
+			p.WakeAt(float64(b.N) / procs)
+			return false
+		}
+		stop = true
+		return true
+	})
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}

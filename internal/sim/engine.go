@@ -1,24 +1,37 @@
 // Package sim provides a sequential, deterministic, process-oriented
 // discrete-event simulator.
 //
-// Simulation processes are goroutines, but exactly one process executes at
-// any instant: the engine resumes the process with the earliest pending
-// event, the process runs until it blocks (Sleep, gate wait, park), and
+// There are two kinds of process, and exactly one process executes at any
+// instant: the engine dispatches the process with the earliest pending
+// event, the process runs until it blocks or books its next wakeup, and
 // control returns to the engine. This cooperative scheme makes all shared
 // state mutation race-free and the whole simulation deterministic: two runs
 // with the same inputs produce identical virtual-time traces.
+//
+//   - A goroutine process (Spawn) is a body function on its own goroutine.
+//     It blocks with Sleep, SleepUntil, gate waits and parks, and each
+//     dispatch hands control across a channel to its goroutine and back.
+//   - A step process (SpawnStep) is stackless: a step function the engine
+//     calls inline on each of its events. A step books its next wakeup with
+//     WakeAt or parks with Park and returns; it keeps its state in its own
+//     closure or receiver, never on a stack. It costs no goroutine and no
+//     channel handoff, which is why the fabric runs every transfer half as
+//     one.
+//
+// Both kinds take IDs from one sequence, count in Live and LiveProcs, and
+// are seen by the event hook and the tie-break policies alike.
 //
 // Virtual time is a float64 in seconds. The clock only moves when the engine
 // pops an event; a running process acts at the engine's current time.
 //
 // The scheduler is written for host speed (see MODEL.md §8): the event heap
 // is typed (no container/heap interface boxing, so pushing an event does not
-// allocate), a process whose next wakeup is the earliest pending event
-// dispatches it inline without the yield/resume channel round trip, and the
-// goroutines backing finished processes are parked on a free list and reused
-// by later Spawn calls instead of being torn down and recreated. None of
-// these change the schedule: the dispatch order remains the strict
-// (time, sequence) order of the event heap.
+// allocate), a goroutine process whose next wakeup is the earliest pending
+// event dispatches it inline without the yield/resume channel round trip,
+// and finished processes (goroutines and step processes alike) are kept on
+// free lists and reused by later spawns. None of these change the schedule:
+// the dispatch order remains the strict (time, sequence) order of the event
+// heap.
 package sim
 
 import (
@@ -27,7 +40,8 @@ import (
 )
 
 // Engine is the simulation scheduler. Create one with NewEngine, add
-// processes with Spawn, then call Run to execute until no events remain.
+// processes with Spawn or SpawnStep, then call Run to execute until no
+// events remain.
 type Engine struct {
 	now    float64
 	events eventHeap
@@ -43,6 +57,10 @@ type Engine struct {
 	// re-armed by Spawn. Run releases them when the simulation ends so an
 	// abandoned engine does not pin goroutines (and through them, itself).
 	pool []*Proc
+
+	// stepPool holds finished step processes, ready to be re-armed by
+	// SpawnStep. They own no goroutine, so teardown just drops them.
+	stepPool []*Proc
 
 	// gatePool holds gates recycled via FreeGate, ready to be re-armed by
 	// NewGate with their waiter/callback slice capacity intact. Owned by the
@@ -179,8 +197,9 @@ func (e *Engine) LiveProcs() []string {
 	return names
 }
 
-// Proc is a simulation process. All methods must be called from the
-// goroutine running the process's body function.
+// Proc is a simulation process. The methods of a goroutine process must be
+// called from the goroutine running its body function; those of a step
+// process from its step function (WakeAt also from any running process).
 type Proc struct {
 	eng       *Engine
 	ID        int
@@ -189,7 +208,8 @@ type Proc struct {
 	pending   bool // an event for this proc is scheduled and not yet delivered
 	heapIdx   int  // position in the event heap while pending, else -1
 	blockedOn string
-	fn        func(p *Proc) // body to run on next resume (pooled goroutines)
+	fn        func(p *Proc)      // body to run on next resume (pooled goroutines)
+	step      func(p *Proc) bool // step function of a live step process, else nil
 }
 
 // Eng returns the engine this process belongs to.
@@ -225,6 +245,77 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.live[p] = struct{}{}
 	e.wakeAt(e.now, p)
 	return p
+}
+
+// SpawnStep creates a step process that starts at the current virtual time.
+// The engine calls step inline on each of the process's events: the first
+// at spawn time, each later one at the wakeup the previous call booked with
+// WakeAt. A call that books no wakeup must Park the process, which then
+// sleeps until another process wakes it with WakeAt. Returning true finishes
+// the process; it must not have a wakeup pending then. The process never
+// runs on a goroutine of its own, so the blocking calls (Sleep, SleepUntil,
+// Wait, WaitAny, WaitAll, WaitTimeout) panic from it. Like Spawn it may be
+// called before Run or from inside a running process, and the returned *Proc
+// may be a recycled object with a fresh ID and name.
+func (e *Engine) SpawnStep(name string, step func(p *Proc) (done bool)) *Proc {
+	if e.closed {
+		panic("sim: SpawnStep after Run returned")
+	}
+	var p *Proc
+	if n := len(e.stepPool); n > 0 {
+		p = e.stepPool[n-1]
+		e.stepPool[n-1] = nil
+		e.stepPool = e.stepPool[:n-1]
+		p.ID = e.idseq
+		p.Name = name
+	} else {
+		p = &Proc{eng: e, ID: e.idseq, Name: name, heapIdx: -1}
+	}
+	p.step = step
+	e.idseq++
+	e.live[p] = struct{}{}
+	e.wakeAt(e.now, p)
+	return p
+}
+
+// runStep dispatches one event of step process p inline.
+func (e *Engine) runStep(p *Proc) {
+	p.blockedOn = ""
+	if !p.step(p) {
+		return
+	}
+	if p.pending {
+		panic(fmt.Sprintf("sim: step process %s(#%d) finished with a wakeup pending", p.Name, p.ID))
+	}
+	p.step = nil
+	delete(e.live, p)
+	e.stepPool = append(e.stepPool, p)
+}
+
+// WakeAt schedules step process p to run at time t; times in the past run
+// it at the current time. It is a no-op if p already has a wakeup pending.
+// A step books its own next wakeup this way; any running process may also
+// use it to wake a parked step process.
+func (p *Proc) WakeAt(t float64) {
+	if p.step == nil {
+		panic(fmt.Sprintf("sim: WakeAt on %s(#%d), which is not a live step process", p.Name, p.ID))
+	}
+	p.eng.wakeAt(t, p)
+}
+
+// Park leaves step process p with no wakeup when its current step returns;
+// it runs again only when another process calls its WakeAt. why is
+// reported on deadlock.
+func (p *Proc) Park(why string) {
+	if p.step == nil {
+		panic(fmt.Sprintf("sim: Park on %s(#%d), which is not a live step process", p.Name, p.ID))
+	}
+	p.blockedOn = why
+}
+
+// notGoroutine panics for a blocking call made from a step process.
+func (p *Proc) notGoroutine(call string) {
+	panic(fmt.Sprintf("sim: %s from step process %s(#%d); a step books its wakeups with WakeAt and Park", call, p.Name, p.ID))
 }
 
 // run is the persistent body of a process goroutine: execute the assigned
@@ -303,6 +394,10 @@ func (e *Engine) Run() error {
 			e.hook(ev.t, ev.p)
 		}
 		ev.p.pending = false
+		if ev.p.step != nil {
+			e.runStep(ev.p)
+			continue
+		}
 		ev.p.resume <- struct{}{}
 		<-e.yield
 	}
@@ -313,6 +408,7 @@ func (e *Engine) Run() error {
 		p.resume <- struct{}{}
 	}
 	e.pool = nil
+	e.stepPool = nil
 	if len(e.live) > 0 {
 		names := e.LiveProcs()
 		return fmt.Errorf("sim: deadlock, %d live processes: %v", len(names), names)
@@ -345,6 +441,9 @@ func (e *Engine) breakTie(ev event) event {
 // SleepUntil blocks the process until virtual time t. Times in the past
 // resume immediately (at the current time).
 func (p *Proc) SleepUntil(t float64) {
+	if p.step != nil {
+		p.notGoroutine("SleepUntil")
+	}
 	p.eng.wakeAt(t, p)
 	p.swap("sleep")
 }

@@ -391,3 +391,17 @@ func TestManyProcsStress(t *testing.T) {
 		t.Errorf("count=%d want %d", count, n)
 	}
 }
+
+func TestSpawnAfterRunPanics(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("a", func(p *Proc) {})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Spawn after Run did not panic")
+		}
+	}()
+	e.Spawn("late", func(p *Proc) {})
+}

@@ -129,6 +129,9 @@ func (g *Gate) OnFireArg(cb func(any), arg any) {
 
 // Wait blocks p until the gate fires. Returns immediately if already fired.
 func (p *Proc) Wait(g *Gate) {
+	if p.step != nil {
+		p.notGoroutine("Wait")
+	}
 	if g.fired {
 		return
 	}
@@ -143,6 +146,9 @@ func (p *Proc) Wait(g *Gate) {
 // and every registration is removed on wake, so no stale waiter survives to
 // spuriously resume the process from a later park.
 func (p *Proc) WaitAny(gates ...*Gate) int {
+	if p.step != nil {
+		p.notGoroutine("WaitAny")
+	}
 	for i, g := range gates {
 		if g.fired {
 			return i
@@ -208,6 +214,9 @@ func (g *Gate) removeWaiter(p *Proc) {
 // deregisters the waiter so the gate's eventual Fire cannot spuriously
 // resume the process from a later park.
 func (p *Proc) WaitTimeout(g *Gate, d float64) bool {
+	if p.step != nil {
+		p.notGoroutine("WaitTimeout")
+	}
 	if g.fired {
 		return true
 	}

@@ -183,3 +183,43 @@ func TestWaitTimeoutBlockedLabel(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 }
+
+func TestWaitAllOrderIndependent(t *testing.T) {
+	e := NewEngine()
+	g1, g2, g3 := e.NewGate(), e.NewGate(), e.NewGate()
+	var at float64
+	e.Spawn("waiter", func(p *Proc) {
+		p.WaitAll(g3, g1, g2) // waits in given order; must still finish at max
+		at = p.Now()
+	})
+	e.Spawn("firer", func(p *Proc) {
+		p.Sleep(1)
+		g2.Fire()
+		p.Sleep(1)
+		g3.Fire()
+		p.Sleep(1)
+		g1.Fire()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if at != 3 {
+		t.Errorf("WaitAll finished at %g want 3", at)
+	}
+}
+
+func TestGateOnFireAfterFiredRunsInline(t *testing.T) {
+	e := NewEngine()
+	g := e.NewGate()
+	ran := false
+	e.Spawn("a", func(p *Proc) {
+		g.Fire()
+		g.OnFire(func() { ran = true })
+		if !ran {
+			t.Error("OnFire on fired gate did not run inline")
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

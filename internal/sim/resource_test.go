@@ -160,3 +160,12 @@ func TestResourceResetClearsStats(t *testing.T) {
 		t.Errorf("name lost on reset: %q", st.Name)
 	}
 }
+
+func TestResourceReset(t *testing.T) {
+	r := NewResource("x")
+	r.Reserve(0, 5)
+	r.Reset()
+	if r.NextFree() != 0 || r.BusyTime() != 0 {
+		t.Errorf("reset did not clear: free=%g busy=%g", r.NextFree(), r.BusyTime())
+	}
+}

@@ -171,10 +171,11 @@ type Net struct {
 	routes map[int]cachedRoute
 	nep    int // endpoints created, for naming
 
-	// xferPool recycles the per-transfer state (chunk feed slices, the
-	// tx→rx signal) across transfers. The engine runs exactly one process
-	// at a time, so a plain slice needs no locking; each transfer's two
-	// halves release their shared state back here when the last one ends.
+	// xferPool recycles the per-transfer state (chunk feed slices, the two
+	// halves' step state) across transfers. The engine runs exactly one
+	// process at a time, so a plain slice needs no locking; each transfer's
+	// two halves release their shared state back here when the last one
+	// ends.
 	xferPool []*xfer
 }
 
@@ -400,7 +401,9 @@ func (n *Net) TotalWireBytes() int64 {
 // receiver half — so that every resource reservation is made at (or within
 // one chunk of) its actual virtual start time. Reserving further ahead
 // would punch unfillable holes into the FIFO next-free-time resources and
-// serialize concurrent transfers that should interleave.
+// serialize concurrent transfers that should interleave. Both halves are
+// stackless step processes (sim.SpawnStep): state machines the engine
+// advances inline, one event per wait, with no goroutine behind them.
 func (n *Net) Transfer(src, dst *Endpoint, size int64) (injected, delivered *sim.Gate) {
 	injected = n.Eng.NewGate()
 	delivered = n.Eng.NewGate()
@@ -431,7 +434,7 @@ var fireGateCB = func(a any) { a.(*sim.Gate).Fire() }
 // Either callback may be nil. Passing package-level functions plus
 // caller-owned arguments makes the per-message fast path allocation-free,
 // which is why the MPI layer uses this form; callbacks run inline inside the
-// transfer's simulation processes and must not block.
+// transfer's step processes and must not block.
 func (n *Net) TransferFn(src, dst *Endpoint, size int64, onInjected func(any), injArg any, onDelivered func(any), delArg any) {
 	n.transfer(src, dst, size, n.Cfg.CPUCopyRate, onInjected, injArg, onDelivered, delArg)
 }
@@ -459,15 +462,21 @@ func (n *Net) transfer(src, dst *Endpoint, size int64, cpuRate float64, onInj fu
 		chunks = int((size + n.Cfg.ChunkBytes - 1) / n.Cfg.ChunkBytes)
 	}
 	x.feed.presize(chunks)
-	n.Eng.Spawn("xfer-tx", x.txFn)
-	n.Eng.Spawn("xfer-rx", x.rxFn)
+	if src.Node != dst.Node {
+		x.rx.rt = n.routeOf(src.Node, dst.Node)
+	}
+	n.Eng.SpawnStep("xfer-tx", x.txFn)
+	x.rx.proc = n.Eng.SpawnStep("xfer-rx", x.rxFn)
 }
 
-// xfer is the state shared by the two halves of one transfer. It is
+// xfer is one transfer: the chunk feed its two halves share plus each
+// half's program counter and loop state. Both halves are stackless step
+// processes (sim.SpawnStep) that advance one event at a time, and each wait
+// of the chunk pipeline is exactly one WakeAt or Park. The object is
 // recycled through Net.xferPool: refs counts the halves still running, and
-// the last one to finish releases the object. txFn/rxFn are the tx/rx method
-// values bound once at construction, so spawning the halves of a recycled
-// transfer allocates nothing.
+// the last one to finish releases it. txFn/rxFn are the step method values
+// bound once at construction, so starting a recycled transfer allocates
+// nothing.
 type xfer struct {
 	n              *Net
 	src, dst       *Endpoint
@@ -477,7 +486,9 @@ type xfer struct {
 	onInj, onDel   func(any)
 	injArg, delArg any
 	refs           int8
-	txFn, rxFn     func(*sim.Proc)
+	txFn, rxFn     func(*sim.Proc) bool
+	tx             txState
+	rx             rxState
 }
 
 func (n *Net) getXfer() *xfer {
@@ -487,8 +498,8 @@ func (n *Net) getXfer() *xfer {
 		x.refs = 2
 		return x
 	}
-	x := &xfer{n: n, refs: 2, feed: chunkFeed{sig: n.Eng.NewSignal()}}
-	x.txFn, x.rxFn = x.tx, x.rx
+	x := &xfer{n: n, refs: 2}
+	x.txFn, x.rxFn = x.txStep, x.rxStep
 	return x
 }
 
@@ -501,23 +512,8 @@ func (x *xfer) release() {
 	x.feed.reset()
 	x.onInj, x.onDel = nil, nil
 	x.injArg, x.delArg = nil, nil
+	x.tx, x.rx = txState{}, rxState{}
 	x.n.xferPool = append(x.n.xferPool, x)
-}
-
-func (x *xfer) tx(p *sim.Proc) {
-	x.n.runTransferTx(p, x.src, x.dst, x.size, x.cpuRate, &x.feed)
-	if x.onInj != nil {
-		x.onInj(x.injArg)
-	}
-	x.release()
-}
-
-func (x *xfer) rx(p *sim.Proc) {
-	x.n.runTransferRx(p, x.src, x.dst, x.cpuRate, &x.feed)
-	if x.onDel != nil {
-		x.onDel(x.delArg)
-	}
-	x.release()
 }
 
 // chunkFeed hands chunk availability times from the sender half to the
@@ -526,14 +522,12 @@ type chunkFeed struct {
 	ready []float64 // time chunk i has cleared the sender side
 	bytes []int64
 	done  bool // sender produced the last chunk
-	sig   *sim.Signal
 }
 
 func (f *chunkFeed) push(t float64, b int64, last bool) {
 	f.ready = append(f.ready, t)
 	f.bytes = append(f.bytes, b)
 	f.done = f.done || last
-	f.sig.Notify()
 }
 
 // presize grows the feed's capacity to hold chunks entries, so the pipeline
@@ -552,144 +546,254 @@ func (f *chunkFeed) reset() {
 	f.done = false
 }
 
-// runTransferTx drives the sender side: per-message setup, then per chunk a
+// txPC is the sender half's program counter: the wakeup it last booked.
+type txPC uint8
+
+const (
+	txStart    txPC = iota // spawned: book the per-message setup
+	txCPU                  // the chunk's sender-CPU stage has ended
+	txCleared              // a lost attempt's bytes have cleared the wire
+	txBackoff              // the retransmission timeout has expired
+	txReinject             // the re-injection descriptor cost is paid
+)
+
+// txState is the sender half's loop state.
+type txState struct {
+	pc        txPC
+	ready     float64 // when the next chunk's CPU stage may start
+	cpuDone   float64 // end of the current chunk's CPU stage
+	remaining int64   // bytes not yet segmented
+	chunk     int64   // bytes in the current chunk
+	cleared   float64 // when the current chunk clears the sender side
+	attempt   int     // transmission attempt of the current chunk
+	timeout   float64 // retransmission timeout of the last lost attempt
+}
+
+// txStep drives the sender side: per-message setup, then per chunk a
 // sender-CPU stage (marshal/copy) followed by an egress-wire (or
-// shared-memory bus) occupancy. The process paces on its CPU stage, so the
+// shared-memory bus) occupancy. The half paces on its CPU stage, so the
 // egress reservation happens at the chunk's true start time and chunks of
 // concurrent transfers interleave on shared resources.
-func (n *Net) runTransferTx(p *sim.Proc, src, dst *Endpoint, size int64, cpuRate float64, feed *chunkFeed) {
+func (x *xfer) txStep(p *sim.Proc) bool {
+	n, s := x.n, &x.tx
 	cfg := &n.Cfg
-	intra := src.Node == dst.Node
-	srcNode := n.nodes[src.Node]
-	_, ready := src.nicStage(p.Now(), cfg.MsgOverhead, 0, 1)
-
-	var lastCPU float64
-	remaining := size
-	first := true
-	for remaining > 0 || first {
-		first = false
-		chunk := remaining
-		if chunk > cfg.ChunkBytes {
-			chunk = cfg.ChunkBytes
+	switch s.pc {
+	case txStart:
+		_, s.ready = x.src.nicStage(p.Now(), cfg.MsgOverhead, 0, 1)
+		s.remaining = x.size
+		return x.txNextChunk(p)
+	case txCPU:
+		if x.src.Node != x.dst.Node {
+			return x.txTransmit(p)
 		}
-		remaining -= chunk
-		cb := float64(chunk)
-
-		_, cpuDone := src.nicStage(ready, cfg.SendOverhead, cb, cpuRate)
-		p.SleepUntil(cpuDone)
-		var cleared float64
-		if intra {
-			_, cleared = srcNode.shm.Reserve(p.Now(), cb/cfg.ShmBandwidth)
-			n.Metrics.Add("net.shm.bytes", srcNode.label, cb)
-		} else {
-			// Transmit the chunk; under fault injection a transmission
-			// attempt can be lost in transit, in which case the sender
-			// waits out the retransmission timeout (the injector grows it
-			// exponentially per attempt), pays the re-injection descriptor
-			// cost on its NIC lane, and sends the chunk again. Every
-			// attempt occupies the wire — lost bytes are real traffic.
-			for attempt := 0; ; attempt++ {
-				_, cleared = srcNode.egress.Reserve(p.Now(), cb/cfg.WireBandwidth)
-				srcNode.egressBytes += chunk
-				n.Metrics.Add("net.wire.bytes", srcNode.label, cb)
-				if n.Faults == nil {
-					break
-				}
-				lost, timeout := n.Faults.ChunkFate(src.Node, dst.Node, attempt)
-				if !lost {
-					break
-				}
-				n.Metrics.Inc("net.chunks.lost", "")
-				if cleared > p.Now() {
-					p.SleepUntil(cleared)
-				}
-				p.Sleep(timeout)
-				n.Metrics.Inc("net.chunks.retrans", "")
-				_, reDone := src.nicStage(p.Now(), cfg.SendOverhead, 0, 1)
-				p.SleepUntil(reDone)
-			}
-		}
-		n.Metrics.Inc("net.chunks", "")
-		n.Metrics.AddGauge("net.chunks.inflight", "", 1)
-		feed.push(cleared, chunk, remaining <= 0)
-		lastCPU = cpuDone
-		ready = cpuDone
-	}
-	if lastCPU > p.Now() {
-		p.SleepUntil(lastCPU)
+		srcNode := n.nodes[x.src.Node]
+		cb := float64(s.chunk)
+		_, s.cleared = srcNode.shm.Reserve(p.Now(), cb/cfg.ShmBandwidth)
+		n.Metrics.Add("net.shm.bytes", srcNode.label, cb)
+		return x.txPush(p)
+	case txCleared:
+		return s.backoff(p)
+	case txBackoff:
+		n.Metrics.Inc("net.chunks.retrans", "")
+		_, reDone := x.src.nicStage(p.Now(), cfg.SendOverhead, 0, 1)
+		s.pc = txReinject
+		p.WakeAt(reDone)
+		return false
+	default: // txReinject
+		s.attempt++
+		return x.txTransmit(p)
 	}
 }
 
-// runTransferRx drives the receiver side: per chunk, the route's interior
-// links (uplink/core/downlink or torus rails, in route order) then an
-// ingress-wire occupancy starting when the chunk clears the sender's egress
-// (plus the route's leading-edge latency), and a receiver-CPU stage
-// (matching/copy) reserved exactly at the chunk's arrival. It returns (and
-// the caller reports delivery) when the last chunk's CPU stage ends.
-func (n *Net) runTransferRx(p *sim.Proc, src, dst *Endpoint, cpuRate float64, feed *chunkFeed) {
-	cfg := &n.Cfg
-	intra := src.Node == dst.Node
-	var rt cachedRoute
-	if !intra {
-		rt = n.routeOf(src.Node, dst.Node)
-	}
-	var lastDeliver float64
-	for k := 0; ; k++ {
-		for len(feed.ready) <= k {
-			if feed.done {
-				// All chunks consumed.
-				if lastDeliver > p.Now() {
-					p.SleepUntil(lastDeliver)
-				}
-				return
+// txNextChunk segments the next chunk and books its sender-CPU stage.
+func (x *xfer) txNextChunk(p *sim.Proc) bool {
+	s := &x.tx
+	cfg := &x.n.Cfg
+	s.chunk = min(s.remaining, cfg.ChunkBytes)
+	s.remaining -= s.chunk
+	s.attempt = 0
+	_, s.cpuDone = x.src.nicStage(s.ready, cfg.SendOverhead, float64(s.chunk), x.cpuRate)
+	s.pc = txCPU
+	p.WakeAt(s.cpuDone)
+	return false
+}
+
+// txTransmit puts one transmission attempt of the current chunk on the
+// egress wire. Under fault injection an attempt can be lost in transit, in
+// which case the sender waits out the retransmission timeout (the injector
+// grows it exponentially per attempt), pays the re-injection descriptor cost
+// on its NIC lane, and sends the chunk again. Every attempt occupies the
+// wire — lost bytes are real traffic.
+func (x *xfer) txTransmit(p *sim.Proc) bool {
+	n, s := x.n, &x.tx
+	srcNode := n.nodes[x.src.Node]
+	cb := float64(s.chunk)
+	_, s.cleared = srcNode.egress.Reserve(p.Now(), cb/n.Cfg.WireBandwidth)
+	srcNode.egressBytes += s.chunk
+	n.Metrics.Add("net.wire.bytes", srcNode.label, cb)
+	if n.Faults != nil {
+		if lost, timeout := n.Faults.ChunkFate(x.src.Node, x.dst.Node, s.attempt); lost {
+			n.Metrics.Inc("net.chunks.lost", "")
+			s.timeout = timeout
+			if s.cleared > p.Now() {
+				s.pc = txCleared
+				p.WakeAt(s.cleared)
+				return false
 			}
-			p.WaitSignal(feed.sig)
+			return s.backoff(p)
 		}
-		t, cb := feed.ready[k], float64(feed.bytes[k])
-		var arrive float64
-		if intra {
-			arrive = t + cfg.ShmLatency
-			if arrive > p.Now() {
-				p.SleepUntil(arrive)
+	}
+	return x.txPush(p)
+}
+
+// backoff books the wakeup at the end of the retransmission timeout.
+func (s *txState) backoff(p *sim.Proc) bool {
+	s.pc = txBackoff
+	p.WakeAt(p.Now() + max(s.timeout, 0))
+	return false
+}
+
+// txPush hands the current chunk to the receiver half, waking it if it is
+// parked on the feed, then segments the next chunk or finishes. The clock
+// already stands at or past the last chunk's CPU-stage end, so finishing
+// books no further wakeup.
+func (x *xfer) txPush(p *sim.Proc) bool {
+	n, s := x.n, &x.tx
+	n.Metrics.Inc("net.chunks", "")
+	n.Metrics.AddGauge("net.chunks.inflight", "", 1)
+	x.feed.push(s.cleared, s.chunk, s.remaining <= 0)
+	// The receiver lives until it has taken the last chunk, so it is either
+	// parked on the feed or has a wakeup pending, and WakeAt is a no-op in
+	// the second case.
+	x.rx.proc.WakeAt(p.Now())
+	s.ready = s.cpuDone
+	if s.remaining > 0 {
+		return x.txNextChunk(p)
+	}
+	if x.onInj != nil {
+		x.onInj(x.injArg)
+	}
+	x.release()
+	return true
+}
+
+// rxPC is the receiver half's program counter: where it resumes.
+type rxPC uint8
+
+const (
+	rxNext    rxPC = iota // take the next chunk off the feed, or finish
+	rxRoute               // an inter-node chunk's leading edge has arrived
+	rxLinks               // the chunk has cleared the route's first stage
+	rxDeliver             // the chunk has arrived: book the receiver-CPU stage
+	rxDone                // the last chunk's receiver-CPU stage has ended
+)
+
+// rxState is the receiver half's loop state.
+type rxState struct {
+	pc          rxPC
+	proc        *sim.Proc   // the receiver half, which the sender wakes
+	rt          cachedRoute // the inter-node route, looked up at spawn
+	k           int         // index of the chunk being received
+	next        float64     // the chunk's ready time at the next route stage
+	arrive      float64     // the chunk's arrival at the receiving endpoint
+	lastDeliver float64     // end of the latest receiver-CPU stage
+}
+
+// rxStep drives the receiver side: per chunk, the route's interior links
+// (uplink/core/downlink or torus rails, in route order) then an ingress-wire
+// occupancy starting when the chunk clears the sender's egress (plus the
+// route's leading-edge latency), and a receiver-CPU stage (matching/copy)
+// reserved exactly at the chunk's arrival. It finishes (and reports
+// delivery) when the last chunk's CPU stage ends. States that book no
+// wakeup fall through to the next one within the same event.
+func (x *xfer) rxStep(p *sim.Proc) bool {
+	n, r := x.n, &x.rx
+	cfg := &n.Cfg
+	for {
+		switch r.pc {
+		case rxNext:
+			if len(x.feed.ready) <= r.k {
+				if !x.feed.done {
+					p.Park("signal")
+					return false
+				}
+				// All chunks consumed.
+				r.pc = rxDone
+				if r.lastDeliver > p.Now() {
+					p.WakeAt(r.lastDeliver)
+					return false
+				}
+				continue
 			}
-			arrive = p.Now()
-		} else {
-			lat := rt.lat
+			t := x.feed.ready[r.k]
+			if x.src.Node == x.dst.Node {
+				r.arrive = max(t+cfg.ShmLatency, p.Now())
+				r.pc = rxDeliver
+				if r.arrive > p.Now() {
+					p.WakeAt(r.arrive)
+					return false
+				}
+				continue
+			}
+			lat := r.rt.lat
 			if n.Faults != nil {
 				// Per-chunk latency jitter from the fault model (0 when
 				// the injector has jitter disabled).
-				lat += n.Faults.ChunkDelay(src.Node, dst.Node)
+				lat += n.Faults.ChunkDelay(x.src.Node, x.dst.Node)
 			}
+			r.pc = rxRoute
 			if t+lat > p.Now() {
-				p.SleepUntil(t + lat)
+				p.WakeAt(t + lat)
+				return false
 			}
+		case rxRoute:
 			// The chunk crosses the route's interior links and then the
-			// receiver's ingress wire store-and-forward. The process paces
-			// on the first stage and books the downstream stages with
-			// chained ready times — the same one-chunk lookahead the
-			// sender's NIC chain uses — so chunks of one transfer pipeline
-			// across the stages while concurrent transfers still interleave
-			// chunk by chunk on shared links.
-			next := p.Now()
-			for i, l := range rt.links {
-				_, next = l.Res.Reserve(next, cb/l.Bandwidth)
-				if i == 0 && next > p.Now() {
-					p.SleepUntil(next)
+			// receiver's ingress wire store-and-forward. The half paces on
+			// the first stage and books the downstream stages with chained
+			// ready times — the same one-chunk lookahead the sender's NIC
+			// chain uses — so chunks of one transfer pipeline across the
+			// stages while concurrent transfers still interleave chunk by
+			// chunk on shared links.
+			r.next = p.Now()
+			r.pc = rxLinks
+			if len(r.rt.links) > 0 {
+				l := r.rt.links[0]
+				_, r.next = l.Res.Reserve(r.next, float64(x.feed.bytes[r.k])/l.Bandwidth)
+				if r.next > p.Now() {
+					p.WakeAt(r.next)
+					return false
 				}
-				l.bytes += feed.bytes[k]
+			}
+		case rxLinks:
+			b := x.feed.bytes[r.k]
+			cb := float64(b)
+			for i, l := range r.rt.links {
+				if i > 0 {
+					_, r.next = l.Res.Reserve(r.next, cb/l.Bandwidth)
+				}
+				l.bytes += b
 				n.Metrics.Add("net.link.bytes", l.Res.Name, cb)
 			}
-			_, inDone := n.nodes[dst.Node].ingress.Reserve(next, cb/cfg.WireBandwidth)
-			if len(rt.links) == 0 && inDone > p.Now() {
+			_, r.arrive = n.nodes[x.dst.Node].ingress.Reserve(r.next, cb/cfg.WireBandwidth)
+			r.pc = rxDeliver
+			if len(r.rt.links) == 0 && r.arrive > p.Now() {
 				// Flat route: the ingress wire is the first stage; pacing on
 				// it preserves the original fabric's schedule exactly.
-				p.SleepUntil(inDone)
+				p.WakeAt(r.arrive)
+				return false
 			}
-			arrive = inDone
+		case rxDeliver:
+			_, r.lastDeliver = x.dst.nicStage(r.arrive, cfg.RecvOverhead, float64(x.feed.bytes[r.k]), x.cpuRate)
+			n.Metrics.AddGauge("net.chunks.inflight", "", -1)
+			r.k++
+			r.pc = rxNext
+		default: // rxDone
+			if x.onDel != nil {
+				x.onDel(x.delArg)
+			}
+			x.release()
+			return true
 		}
-		_, recvDone := dst.nicStage(arrive, cfg.RecvOverhead, cb, cpuRate)
-		n.Metrics.AddGauge("net.chunks.inflight", "", -1)
-		lastDeliver = recvDone
 	}
 }
 
