@@ -109,12 +109,6 @@ func Fig5(w io.Writer) (Fig5Result, error) {
 	return res, nil
 }
 
-// CollectiveBandwidth measures one (op, case, total size) cell of Fig. 5.
-func CollectiveBandwidth(op string, cc CollCase, total int64) (float64, error) {
-	bw, _, err := collectiveRun(op, cc, total)
-	return bw, err
-}
-
 // collectiveRun measures one Fig. 5 cell and the run's lane utilization.
 func collectiveRun(op string, cc CollCase, total int64) (float64, UtilStats, error) {
 	return collectiveRunNodes(op, cc, total, fig5Nodes, 0)

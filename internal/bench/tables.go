@@ -5,9 +5,6 @@ import (
 	"io"
 
 	"commoverlap/internal/core"
-	"commoverlap/internal/mesh"
-	"commoverlap/internal/mpi"
-	"commoverlap/internal/purify"
 )
 
 // table1MeshEdge: Tables I and II run on 64 nodes with one process per
@@ -210,45 +207,4 @@ func Table5(w io.Writer, n int) ([]Table5Row, error) {
 			row.TotalNodes, row.TFlopsND1, row.TFlopsND4)
 	}
 	return rows, nil
-}
-
-// Table1App measures the kernel the way the paper actually does: averaged
-// over the iterations of a (phantom) purification run rather than a single
-// invocation. The simulator is deterministic, so the average matches the
-// single-shot Table1 numbers; this entry point documents and checks that
-// methodological equivalence.
-func Table1App(w io.Writer, sys System, iters int) (float64, error) {
-	if iters <= 0 {
-		iters = 3
-	}
-	dims := mesh.Cubic(table1MeshEdge)
-	var kernelTime float64
-	_, err := job(dims.Size(), dims.Size(), nil, func(pr *mpi.Proc) {
-		env, err := core.NewEnv(pr, dims, core.Config{N: sys.N, NDup: 4})
-		if err != nil {
-			panic(err)
-		}
-		dd := purify.NewDist(env, core.Optimized)
-		_, st, err := dd.Run(nil, purify.Options{Ne: max(sys.Ne, 1), MaxIter: iters})
-		if err != nil {
-			panic(err)
-		}
-		if st.KernelTime > kernelTime {
-			kernelTime = st.KernelTime
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	tf := float64(iters) * core.KernelFlops(sys.N) / kernelTime / 1e12
-	fprintf(w, "Table I (application-averaged, %d purification iterations): %s %.2f TFlops\n",
-		iters, sys.Name, tf)
-	return tf, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,10 +2,42 @@ package bench
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"commoverlap/internal/tune"
 )
+
+// quickTable is the cold quick-grid search, run once for every test that
+// consumes it: the search is deterministic, so each consumer sees exactly
+// the table a search of its own would return.
+var quickTable = sync.OnceValues(func() (*tune.Table, error) {
+	return tune.Search(tune.Options{Grid: tune.QuickGrid()})
+})
+
+// sharedQuickTable returns the shared quick-grid table and fails the test
+// if the test changed it, which would leak into the other consumers.
+func sharedQuickTable(t *testing.T) *tune.Table {
+	t.Helper()
+	table, err := quickTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func() string {
+		var sb strings.Builder
+		if err := table.WriteJSON(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	before := encode()
+	t.Cleanup(func() {
+		if encode() != before {
+			t.Error("test mutated the shared quick-grid tuning table")
+		}
+	})
+	return table
+}
 
 // TestTunedBeatsFixed is the auto-tuner's asserted benchmark: over the
 // default kernel workload (the Fig. 5 reduce regimes plus the 64-node
@@ -15,10 +47,7 @@ import (
 // blocking collectives. The simulator is exact, so the comparisons need no
 // tolerance.
 func TestTunedBeatsFixed(t *testing.T) {
-	table, err := tune.Search(tune.Options{Grid: tune.QuickGrid()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	table := sharedQuickTable(t)
 	res, err := Tuned(nil, table)
 	if err != nil {
 		t.Fatal(err)
@@ -106,10 +135,7 @@ func TestPaperScaleTuned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale sweep in -short mode")
 	}
-	table, err := tune.Search(tune.Options{Grid: tune.QuickGrid()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	table := sharedQuickTable(t)
 	var sb strings.Builder
 	res, err := PaperScaleTuned(&sb, 4000, table)
 	if err != nil {

@@ -161,15 +161,6 @@ func New(cfg Config) (*Injector, error) {
 	return inj, nil
 }
 
-// MustNew is New for configurations known valid at compile time (presets).
-func MustNew(cfg Config) *Injector {
-	inj, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return inj
-}
-
 // Install wires the injector into a world: straggler and preemption hooks
 // onto every rank's CPU and NIC lanes, degradation hooks onto the chosen
 // node wires, and the injector itself as the fabric's chunk-level fault
@@ -324,24 +315,6 @@ func (inj *Injector) metrics() *metrics.Registry {
 		return nil
 	}
 	return inj.w.Metrics
-}
-
-// Stragglers returns the indices of the nodes chosen as stragglers, in
-// ascending order (empty before Install).
-func (inj *Injector) Stragglers() []int { return maskIndices(inj.straggler) }
-
-// DegradedLinks returns the indices of the nodes whose links were chosen
-// for degradation, in ascending order (empty before Install).
-func (inj *Injector) DegradedLinks() []int { return maskIndices(inj.degraded) }
-
-func maskIndices(mask []bool) []int {
-	var out []int
-	for i, b := range mask {
-		if b {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Events returns the fault log in injection order. Identical seeds and

@@ -215,7 +215,10 @@ func TestInstallTwicePanics(t *testing.T) {
 	eng := sim.NewEngine()
 	net, _ := simnet.New(eng, simnet.DefaultConfig(2))
 	w, _ := mpi.NewWorld(net, 2, nil)
-	inj := MustNew(Noise(1, 1))
+	inj, err := New(Noise(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	inj.Install(w)
 	defer func() {
 		if recover() == nil {

@@ -7,6 +7,9 @@
 package machine
 
 import (
+	"fmt"
+	"slices"
+
 	"commoverlap/internal/metrics"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/progress"
@@ -40,13 +43,19 @@ type Spec struct {
 	Metrics *metrics.Registry
 }
 
-// Build constructs the job without launching it, in this order: the
-// progress engine's machine half onto Config, the named topology into
-// Config.Topo, the engine, fabric and world, the forced algorithms and
-// switch points, the progress agents, and the metrics sink. Nothing is
-// scheduled on the engine, so callers may still install tie-break
-// policies, hooks or fault injectors before they Launch and Run.
+// Build constructs the job without launching it. It first rejects the
+// fields that would otherwise fail only once a rank runs — unknown
+// algorithm names, negative switch points, an invalid progress engine —
+// then builds in this order: the progress engine's machine half onto
+// Config, the named topology into Config.Topo, the engine, fabric and
+// world, the forced algorithms and switch points, the progress agents,
+// and the metrics sink. Nothing is scheduled on the engine, so callers may
+// still install tie-break policies, hooks or fault injectors before they
+// Launch and Run.
 func (s Spec) Build() (*sim.Engine, *mpi.World, error) {
+	if err := s.check(); err != nil {
+		return nil, nil, err
+	}
 	cfg := s.Config
 	s.Progress.ApplyConfig(&cfg)
 	topo, err := simnet.TopoByName(s.Topo, cfg.Nodes)
@@ -75,6 +84,33 @@ func (s Spec) Build() (*sim.Engine, *mpi.World, error) {
 		w.SetMetrics(s.Metrics)
 	}
 	return eng, w, nil
+}
+
+// check validates the fields the fabric and world constructors do not see,
+// naming the offending field and its value.
+func (s Spec) check() error {
+	for _, a := range []struct {
+		field, name string
+		known       []string
+	}{
+		{"BcastAlg", s.BcastAlg, mpi.BcastAlgs()},
+		{"ReduceAlg", s.ReduceAlg, mpi.ReduceAlgs()},
+		{"AllreduceAlg", s.AllreduceAlg, mpi.AllreduceAlgs()},
+	} {
+		if a.name != mpi.AlgAuto && !slices.Contains(a.known, a.name) {
+			return fmt.Errorf("machine: %s %q unknown, want one of %q or %q (auto)", a.field, a.name, a.known, mpi.AlgAuto)
+		}
+	}
+	if s.BcastLongMsg < 0 {
+		return fmt.Errorf("machine: BcastLongMsg %d, need >= 0 (0 = default)", s.BcastLongMsg)
+	}
+	if s.ReduceLongMsg < 0 {
+		return fmt.Errorf("machine: ReduceLongMsg %d, need >= 0 (0 = default)", s.ReduceLongMsg)
+	}
+	if err := s.Progress.Validate(); err != nil {
+		return fmt.Errorf("machine: Progress %+v: %w", s.Progress, err)
+	}
+	return nil
 }
 
 // Run builds the job, runs body on every rank and returns the finished

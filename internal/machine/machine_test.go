@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"commoverlap/internal/mesh"
@@ -54,16 +55,47 @@ func TestBuildAppliesEverySpecField(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsBadSpecs: every malformed field fails Build with an
+// error naming the field and its value, and none panics — neither inside
+// Build nor later on a rank goroutine.
 func TestBuildRejectsBadSpecs(t *testing.T) {
-	for name, s := range map[string]Spec{
-		"unknown topology": {Config: simnet.DefaultConfig(2), Topo: "mesh9", Ranks: 2},
-		"no nodes":         {Ranks: 2},
-		"no ranks":         {Config: simnet.DefaultConfig(2)},
-		"short placement":  {Config: simnet.DefaultConfig(2), Ranks: 2, Placement: []int{0}},
+	two := simnet.DefaultConfig(2)
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		want string // substring of the error
+	}{
+		{"unknown topology", Spec{Config: two, Topo: "mesh9", Ranks: 2}, "mesh9"},
+		{"no nodes", Spec{Ranks: 2}, "Nodes = 0"},
+		{"no ranks", Spec{Config: two}, "world size 0"},
+		{"short placement", Spec{Config: two, Ranks: 2, Placement: []int{0}}, "1 entries for 2 ranks"},
+		{"placement past last node", Spec{Config: two, Ranks: 2, Placement: []int{0, 5}}, "placement[1] = node 5"},
+		{"negative placement", Spec{Config: two, Ranks: 2, Placement: []int{0, -1}}, "placement[1] = node -1"},
+		{"unknown bcast alg", Spec{Config: two, Ranks: 2, BcastAlg: "bogus"}, `BcastAlg "bogus"`},
+		{"unknown reduce alg", Spec{Config: two, Ranks: 2, ReduceAlg: "ring"}, `ReduceAlg "ring"`},
+		{"unknown allreduce alg", Spec{Config: two, Ranks: 2, AllreduceAlg: "bogus"}, `AllreduceAlg "bogus"`},
+		{"negative bcast switch point", Spec{Config: two, Ranks: 2, BcastLongMsg: -5}, "BcastLongMsg -5"},
+		{"negative reduce switch point", Spec{Config: two, Ranks: 2, ReduceLongMsg: -5}, "ReduceLongMsg -5"},
+		{"zero progress ranks", Spec{Config: two, Ranks: 2, Progress: progress.Spec{Mode: progress.Ranks}}, "0 progress ranks"},
+		{"negative offload rate", Spec{Config: two, Ranks: 2, Progress: progress.Spec{Mode: progress.Offload, Rate: -1}}, "offload rate -1"},
 	} {
-		if _, _, err := s.Build(); err == nil {
-			t.Errorf("%s: Build succeeded", name)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			w, err := tc.spec.Run(func(p *mpi.Proc) {
+				p.World().Bcast(0, mpi.Phantom(1<<20))
+				p.World().Allreduce(mpi.Phantom(1<<20), mpi.OpSum)
+			})
+			if err == nil {
+				t.Fatalf("Run succeeded (world %v)", w != nil)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not name %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeHistogram(t *testing.T) {
+func TestCounterGauge(t *testing.T) {
 	var r Registry
 	r.Inc("msgs", "eager")
 	r.Add("msgs", "eager", 2)
@@ -14,9 +14,6 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	r.Set("inflight", "", 3)
 	r.AddGauge("inflight", "", 2) // level 5, peak 5
 	r.AddGauge("inflight", "", -4)
-
-	r.Observe("chunk_bytes", "", 100)
-	r.Observe("chunk_bytes", "", 300000)
 
 	if got := r.Value("msgs", "eager"); got != 3 {
 		t.Errorf("counter = %g, want 3", got)
@@ -27,32 +24,17 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if got := r.Peak("inflight", ""); got != 5 {
 		t.Errorf("gauge peak = %g, want 5", got)
 	}
-	if got := r.Value("chunk_bytes", ""); got != 300100 {
-		t.Errorf("histogram sum = %g, want 300100", got)
-	}
 	if got := r.Value("never", "touched"); got != 0 {
 		t.Errorf("untouched metric = %g", got)
 	}
 
 	snap := r.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("snapshot has %d samples, want 4", len(snap))
+	if len(snap) != 3 {
+		t.Fatalf("snapshot has %d samples, want 3", len(snap))
 	}
 	// Sorted by (name, label).
-	if snap[0].Name != "bytes" || snap[1].Name != "chunk_bytes" ||
-		snap[2].Name != "inflight" || snap[3].Name != "msgs" {
+	if snap[0].Name != "bytes" || snap[1].Name != "inflight" || snap[2].Name != "msgs" {
 		t.Errorf("snapshot order wrong: %+v", snap)
-	}
-	h := snap[1]
-	if h.Count != 2 {
-		t.Errorf("histogram count = %d", h.Count)
-	}
-	var bucketed int64
-	for _, b := range h.Buckets {
-		bucketed += b
-	}
-	if bucketed != h.Count {
-		t.Errorf("buckets hold %d of %d observations", bucketed, h.Count)
 	}
 }
 
@@ -62,7 +44,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	r.Add("a", "", 2)
 	r.Set("g", "", 1)
 	r.AddGauge("g", "", 1)
-	r.Observe("h", "", 1)
 	if r.Value("a", "") != 0 || r.Peak("g", "") != 0 {
 		t.Error("nil registry returned nonzero")
 	}
@@ -101,7 +82,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 			func() { r.Add("wire.bytes", "node0", 1024) },
 			func() { r.Inc("mpi.eager", "rank1") },
 			func() { r.Set("net.inflight", "", 2) },
-			func() { r.Observe("lat", "", 5) },
+			func() { r.AddGauge("lat", "", 5) },
 			func() { r.Add("wire.bytes", "node1", 2048) },
 		}
 		for _, i := range perm {

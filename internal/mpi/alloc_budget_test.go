@@ -218,63 +218,3 @@ func TestAllocBudgetExtraCollectives(t *testing.T) {
 		t.Logf("allgather steady state: %.0f allocs/op", got)
 	})
 }
-
-// alltoallBufs builds the hoisted per-rank send/receive block sets for the
-// complete-exchange budgets.
-func alltoallBufs(p *Proc, size, blk int) (send, recv []Buffer) {
-	send = make([]Buffer, size)
-	recv = make([]Buffer, size)
-	for i := range send {
-		s := make([]float64, blk)
-		for j := range s {
-			s[j] = float64(p.Rank()*size + i + j)
-		}
-		send[i] = F64(s)
-		recv[i] = F64(make([]float64, blk))
-	}
-	return send, recv
-}
-
-// TestAllocBudgetAlltoall pins the last unbudgeted collective family: the
-// complete exchange, blocking and nonblocking. The pairwise-exchange
-// schedule works entirely inside the caller's block buffers (no scratch),
-// so with buffers hoisted the blocking residue is the pooled
-// request/envelope traffic (~0 allocs/op) and Ialltoall adds only its
-// collective-runner spawn; both sit far under the shared 64-alloc budget.
-func TestAllocBudgetAlltoall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation budgets need benchmark iterations")
-	}
-	const (
-		size  = 12 // non-power-of-two: the shifted (non-XOR) schedule runs
-		nodes = 4
-		blk   = 1024
-	)
-	t.Run("alltoall/pairwise", func(t *testing.T) {
-		got := allocBudgetHoisted(t, size, nodes, func(p *Proc) func() {
-			send, recv := alltoallBufs(p, size, blk)
-			return func() { p.World().Alltoall(send, recv) }
-		})
-		if budget := float64(64 * raceAllocFactor); got > budget {
-			t.Errorf("alltoall: %.0f allocs/op, budget %.0f", got, budget)
-		}
-		t.Logf("alltoall steady state: %.0f allocs/op", got)
-	})
-	// The nonblocking variant uses the Wait-then-Free idiom so the
-	// user-held request and its gate recycle through the world's pools;
-	// without Free each op intentionally retires both to the GC.
-	t.Run("ialltoall/pairwise", func(t *testing.T) {
-		got := allocBudgetHoisted(t, size, nodes, func(p *Proc) func() {
-			send, recv := alltoallBufs(p, size, blk)
-			return func() {
-				req := p.World().Ialltoall(send, recv)
-				req.Wait()
-				req.Free()
-			}
-		})
-		if budget := float64(64 * raceAllocFactor); got > budget {
-			t.Errorf("ialltoall: %.0f allocs/op, budget %.0f", got, budget)
-		}
-		t.Logf("ialltoall steady state: %.0f allocs/op", got)
-	})
-}

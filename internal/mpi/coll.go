@@ -35,7 +35,6 @@ const (
 const postOverhead = 3e-6
 
 func (c *Comm) nextCollTag() int {
-	c.checkUsable()
 	t := collTagBase + c.collSeq*collTagStride
 	c.collSeq++
 	if c.Size() >= collTagStride/2 {

@@ -2,13 +2,13 @@ package mpi
 
 import "commoverlap/internal/sim"
 
-// This file provides the remaining collective operations a complete MPI
-// library offers — gather, scatter, allgather, all-to-all, reduce-scatter —
-// with the classical algorithms (binomial trees, ring, pairwise exchange,
-// recursive halving). SymmSquareCube itself only needs Bcast/Reduce/
-// Allreduce/Barrier, but the broadcast and reduction long-message paths are
-// built from scatter/allgather schedules, and downstream applications (the
-// solver, the SCF driver) use several of these directly.
+// This file provides the remaining collective operations — gather,
+// scatter, allgather and reduce-scatter — with the classical algorithms
+// (binomial trees and rings). SymmSquareCube itself only needs Bcast/
+// Reduce/Allreduce/Barrier, but the broadcast and reduction long-message
+// paths are built from scatter/allgather schedules, the ML workloads
+// (internal/workload) use reduce-scatter and allgather directly, and the
+// model checker's scenarios drive gather and scatter.
 
 // gatherRun collects equal-shaped contributions to the root along a
 // binomial tree. sendBuf is each rank's block; on the root, recvBufs[i]
@@ -142,29 +142,6 @@ func (c *Comm) allgatherRun(sp *sim.Proc, sendBuf Buffer, recvBufs []Buffer, tag
 	}
 }
 
-// alltoallRun is the pairwise-exchange all-to-all for equal block sizes:
-// p-1 rounds, round k exchanging with rank^k partners (for power-of-two p)
-// or (rank+k, rank-k) otherwise. sendBufs[i] goes to rank i; recvBufs[i]
-// receives from rank i.
-func (c *Comm) alltoallRun(sp *sim.Proc, sendBufs, recvBufs []Buffer, tag int) {
-	p := c.Size()
-	recvBufs[c.rank].copyFrom(sendBufs[c.rank])
-	pow2 := p&(p-1) == 0
-	for k := 1; k < p; k++ {
-		var dst, src int
-		if pow2 {
-			dst = c.rank ^ k
-			src = dst
-		} else {
-			dst = (c.rank + k) % p
-			src = (c.rank - k + p) % p
-		}
-		sreq := c.isendOn(sp, dst, tag+k, sendBufs[dst])
-		c.recvOn(sp, src, tag+k, recvBufs[src])
-		sreq.waitFree(sp)
-	}
-}
-
 // reduceScatterRun combines equal-shaped contributions and leaves block i
 // on rank i, with the ring schedule (the reduce-scatter half of the ring
 // allreduce): p-1 rounds in which every rank sends its running partial sum
@@ -247,17 +224,6 @@ func (c *Comm) Allgather(sendBuf Buffer, recvBufs []Buffer) {
 	c.allgatherRun(c.p.sp, sendBuf, recvBufs, tag)
 }
 
-// Alltoall performs a complete exchange of equal-shaped blocks.
-func (c *Comm) Alltoall(sendBufs, recvBufs []Buffer) {
-	tag := c.nextCollTag()
-	var total int64
-	for _, b := range sendBufs {
-		total += b.Bytes()
-	}
-	c.chargeStaging(c.p.sp, total, 1)
-	c.alltoallRun(c.p.sp, sendBufs, recvBufs, tag)
-}
-
 // ReduceScatter combines sendBuf (length p * blockLen) across all ranks
 // under op and leaves block i in rank i's recvBuf.
 func (c *Comm) ReduceScatter(sendBuf, recvBuf Buffer, op Op) {
@@ -270,51 +236,12 @@ func (c *Comm) ReduceScatter(sendBuf, recvBuf Buffer, op Op) {
 // Public nonblocking API
 // ---------------------------------------------------------------------------
 
-// Igather posts a nonblocking Gather.
-func (c *Comm) Igather(root int, sendBuf Buffer, recvBufs []Buffer) *Request {
-	tag := c.nextCollTag()
-	c.chargeStaging(c.p.sp, sendBuf.Bytes(), 1)
-	return c.spawnColl("igather", func(sp *sim.Proc) {
-		c.gatherRun(sp, root, sendBuf, recvBufs, tag)
-	})
-}
-
-// Iscatter posts a nonblocking Scatter.
-func (c *Comm) Iscatter(root int, sendBufs []Buffer, recvBuf Buffer) *Request {
-	tag := c.nextCollTag()
-	if c.rank == root {
-		var total int64
-		for _, b := range sendBufs {
-			total += b.Bytes()
-		}
-		c.chargeStaging(c.p.sp, total, c.p.w.BcastStageFactor)
-	} else {
-		c.chargeStaging(c.p.sp, 0, 1)
-	}
-	return c.spawnColl("iscatter", func(sp *sim.Proc) {
-		c.scatterRun(sp, root, sendBufs, recvBuf, tag)
-	})
-}
-
 // Iallgather posts a nonblocking Allgather.
 func (c *Comm) Iallgather(sendBuf Buffer, recvBufs []Buffer) *Request {
 	tag := c.nextCollTag()
 	c.chargeStaging(c.p.sp, sendBuf.Bytes(), 1)
 	return c.spawnColl("iallgather", func(sp *sim.Proc) {
 		c.allgatherRun(sp, sendBuf, recvBufs, tag)
-	})
-}
-
-// Ialltoall posts a nonblocking Alltoall.
-func (c *Comm) Ialltoall(sendBufs, recvBufs []Buffer) *Request {
-	tag := c.nextCollTag()
-	var total int64
-	for _, b := range sendBufs {
-		total += b.Bytes()
-	}
-	c.chargeStaging(c.p.sp, total, 1)
-	return c.spawnColl("ialltoall", func(sp *sim.Proc) {
-		c.alltoallRun(sp, sendBufs, recvBufs, tag)
 	})
 }
 

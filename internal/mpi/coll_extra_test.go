@@ -101,36 +101,6 @@ func TestAllgatherAgainstOracle(t *testing.T) {
 	}
 }
 
-func TestAlltoallAgainstOracle(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 7, 8} {
-		p := p
-		const n = 25
-		runJob(t, p, min(p, 4), func(pr *Proc) {
-			send := make([]Buffer, p)
-			recv := make([]Buffer, p)
-			for i := range send {
-				// Block destined for rank i encodes (sender, dest).
-				vals := make([]float64, n)
-				for j := range vals {
-					vals[j] = float64(pr.Rank()*10000 + i*100 + j)
-				}
-				send[i] = F64(vals)
-				recv[i] = F64(make([]float64, n))
-			}
-			pr.World().Alltoall(send, recv)
-			for i := 0; i < p; i++ {
-				for j, v := range recv[i].Data {
-					want := float64(i*10000 + pr.Rank()*100 + j)
-					if v != want {
-						t.Fatalf("p=%d rank=%d: from %d elem %d = %g want %g",
-							p, pr.Rank(), i, j, v, want)
-					}
-				}
-			}
-		})
-	}
-}
-
 func TestReduceScatterAgainstOracle(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 5, 8} {
 		for _, blk := range []int{1, 33, 2000} {
@@ -167,29 +137,33 @@ func TestNonblockingExtraCollectives(t *testing.T) {
 	const p, n = 4, 50
 	runJob(t, p, 4, func(pr *Proc) {
 		w := pr.World()
-		// Iallgather + Ialltoall outstanding together on duplicated comms.
+		// Iallgather + Ireducescatter outstanding together on duplicated
+		// comms.
 		c1, c2 := w.Dup(), w.Dup()
 		send := F64(blockVals(pr.Rank(), n))
 		recvG := make([]Buffer, p)
-		sendA := make([]Buffer, p)
-		recvA := make([]Buffer, p)
 		for i := 0; i < p; i++ {
 			recvG[i] = F64(make([]float64, n))
-			sendA[i] = F64(blockVals(pr.Rank()*p+i, n))
-			recvA[i] = F64(make([]float64, n))
 		}
+		rs := F64(make([]float64, n/p*p))
+		for i := range rs.Data {
+			rs.Data[i] = 1
+		}
+		out := F64(make([]float64, n/p))
 		r1 := c1.Iallgather(send, recvG)
-		r2 := c2.Ialltoall(sendA, recvA)
+		r2 := c2.Ireducescatter(rs, out, OpSum)
 		Waitall(r1, r2)
 		for i := 0; i < p; i++ {
 			if recvG[i].Data[0] != float64(i*1000) {
 				t.Errorf("iallgather block %d wrong: %g", i, recvG[i].Data[0])
 			}
-			if recvA[i].Data[0] != float64((i*p+pr.Rank())*1000) {
-				t.Errorf("ialltoall from %d wrong: %g", i, recvA[i].Data[0])
+		}
+		for _, v := range out.Data {
+			if v != float64(p) {
+				t.Fatalf("ireducescatter got %g want %d", v, p)
 			}
 		}
-		// Igather/Iscatter round trip.
+		// Gather/Scatter round trip.
 		var gbufs []Buffer
 		if pr.Rank() == 1 {
 			gbufs = make([]Buffer, p)
@@ -197,24 +171,12 @@ func TestNonblockingExtraCollectives(t *testing.T) {
 				gbufs[i] = F64(make([]float64, n))
 			}
 		}
-		w.Igather(1, send, gbufs).Wait()
+		w.Gather(1, send, gbufs)
 		back := F64(make([]float64, n))
-		w.Iscatter(1, gbufs, back).Wait()
+		w.Scatter(1, gbufs, back)
 		for j, v := range back.Data {
 			if v != send.Data[j] {
 				t.Fatalf("gather/scatter roundtrip elem %d: %g != %g", j, v, send.Data[j])
-			}
-		}
-		// Ireducescatter.
-		rs := F64(make([]float64, n/p*p)[:n/p*p])
-		for i := range rs.Data {
-			rs.Data[i] = 1
-		}
-		out := F64(make([]float64, n/p))
-		w.Ireducescatter(rs, out, OpSum).Wait()
-		for _, v := range out.Data {
-			if v != float64(p) {
-				t.Fatalf("ireducescatter got %g want %d", v, p)
 			}
 		}
 	})
@@ -227,13 +189,6 @@ func TestPhantomExtraCollectives(t *testing.T) {
 		t0 := pr.Now()
 		w.Gather(0, Phantom(1<<20), nil)
 		w.Allgather(Phantom(1<<20), make([]Buffer, p))
-		send := make([]Buffer, p)
-		recv := make([]Buffer, p)
-		for i := range send {
-			send[i] = Phantom(1 << 18)
-			recv[i] = Phantom(1 << 18)
-		}
-		w.Alltoall(send, recv)
 		w.ReduceScatter(Phantom(4<<20), Phantom(1<<20), OpSum)
 		if pr.Now() <= t0 {
 			t.Error("phantom extra collectives took no time")

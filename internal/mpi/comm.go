@@ -19,62 +19,10 @@ type Comm struct {
 	rank  int
 	group []int // world ranks indexed by comm rank
 
-	collSeq  int  // per-rank count of collective calls on this comm
-	splitSeq int  // per-rank count of Split/Dup calls on this comm
-	freed    bool // set by Free; subsequent operations panic
+	collSeq  int // per-rank count of collective calls on this comm
+	splitSeq int // per-rank count of Split/Dup calls on this comm
 
 	shiftFactors []int // lazy cache of factorize(Size()) for allreduceShift
-}
-
-// checkUsable panics when the handle has been freed. Every operation entry
-// point funnels through it (p2p via isendOn/irecvOn, collectives via
-// nextCollTag, creation via Split).
-func (c *Comm) checkUsable() {
-	if c.freed {
-		panic(fmt.Sprintf("mpi: rank %d used freed communicator ctx %d", c.p.rank, c.ctx))
-	}
-}
-
-// Free releases the communicator handle, as MPI_Comm_free does. Freeing is
-// erroneous — and panics loudly — while the calling rank still has pending
-// operations on the communicator: unfinished requests (including collective
-// children), posted receives never matched, or arrived messages never
-// received. A freed handle rejects all further operations. The world
-// communicator cannot be freed.
-func (c *Comm) Free() {
-	c.checkUsable()
-	if c.ctx == 0 {
-		panic("mpi: cannot free the world communicator")
-	}
-	w := c.p.w
-	st := c.p.st
-	var pend []string
-	for _, info := range w.open {
-		if info.ctx == c.ctx && info.rank == st.rank {
-			pend = append(pend, info.kind)
-		}
-	}
-	sort.Strings(pend)
-	for _, r := range st.posted {
-		if r.ctx == c.ctx {
-			pend = append(pend, "posted-recv")
-		}
-	}
-	for _, m := range st.unexpected {
-		if m.ctx == c.ctx {
-			pend = append(pend, "unreceived-message")
-		}
-	}
-	for _, m := range st.held {
-		if m.ctx == c.ctx {
-			pend = append(pend, "held-envelope")
-		}
-	}
-	if len(pend) > 0 {
-		panic(fmt.Sprintf("mpi: rank %d freed communicator ctx %d with %d pending operation(s): %v",
-			st.rank, c.ctx, len(pend), pend))
-	}
-	c.freed = true
 }
 
 // Rank returns the calling rank's rank within the communicator.
@@ -82,9 +30,6 @@ func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.group) }
-
-// WorldRank translates a comm rank to a world rank.
-func (c *Comm) WorldRank(r int) int { return c.group[r] }
 
 // Context returns the communicator's context id (useful for debugging).
 func (c *Comm) Context() int { return c.ctx }
@@ -115,7 +60,6 @@ type commSpec struct {
 // new communicator ordered by (key, old rank). A negative color returns nil
 // (MPI_UNDEFINED). All members must call Split.
 func (c *Comm) Split(color, key int) *Comm {
-	c.checkUsable()
 	w := c.p.w
 	k := splitKey{ctx: c.ctx, epoch: c.splitSeq}
 	c.splitSeq++

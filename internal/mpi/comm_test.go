@@ -39,8 +39,8 @@ func TestSplitKeyOrdersRanks(t *testing.T) {
 		if c.Rank() != p-1-pr.Rank() {
 			t.Errorf("world rank %d got comm rank %d, want %d", pr.Rank(), c.Rank(), p-1-pr.Rank())
 		}
-		if c.WorldRank(0) != p-1 {
-			t.Errorf("comm rank 0 is world %d, want %d", c.WorldRank(0), p-1)
+		if c.group[0] != p-1 {
+			t.Errorf("comm rank 0 is world %d, want %d", c.group[0], p-1)
 		}
 	})
 }

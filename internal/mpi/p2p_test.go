@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"commoverlap/internal/sim"
@@ -307,5 +308,30 @@ func TestManyRanksRandomExchange(t *testing.T) {
 			}
 		}
 		Waitall(reqs...)
+	})
+}
+
+// TestRecvTruncationPanics covers the message-longer-than-buffer error
+// path. The message must already be queued as unexpected when the receive
+// is posted, so the panic fires on the receiver's own goroutine where it
+// can be recovered.
+func TestRecvTruncationPanics(t *testing.T) {
+	runJob(t, 2, 1, func(pr *Proc) {
+		if pr.Rank() == 0 {
+			pr.World().Send(1, 4, F64(make([]float64, 10)))
+			return
+		}
+		pr.Sleep(1e-3) // let the eager message arrive unexpected
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Error("truncated receive did not panic")
+				return
+			}
+			if !strings.Contains(r.(string), "truncated") {
+				t.Errorf("panic %q, want truncation report", r)
+			}
+		}()
+		pr.World().Recv(0, 4, F64(make([]float64, 5)))
 	})
 }

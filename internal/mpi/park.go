@@ -13,7 +13,7 @@ package mpi
 // eagerly instead: the node's progress agents are already advancing every
 // sibling pipeline, so the barrier's completion wakes a parked rank at its
 // fire time rather than at the next poll tick. Park/wake accounting is
-// unchanged, so CheckClean and ParkStats stay mode-independent.
+// unchanged, so CheckClean's park/wake check stays mode-independent.
 func RunActive(p *Proc, comm *Comm, active bool, poll float64, body func()) {
 	if poll <= 0 {
 		poll = DefaultPollInterval

@@ -1,15 +1,10 @@
 package mpi
 
-import (
-	"fmt"
+import "fmt"
 
-	"commoverlap/internal/sim"
-)
-
-// Probe and the multi-request wait operations round out the point-to-point
-// API. Progress in the simulation is autonomous, so Iprobe is a pure query
-// of the matching queues, and Probe parks the caller until something
-// matching arrives.
+// Probe rounds out the point-to-point API. Progress in the simulation is
+// autonomous, so Iprobe is a pure query of the matching queues, and Probe
+// parks the caller until something matching arrives.
 
 // Iprobe reports whether a message matching (src, tag) — either of which
 // may be the Any* wildcard — is available without receiving it. On a match
@@ -53,34 +48,4 @@ func (c *Comm) Probe(src, tag int) Status {
 			backoff *= 2
 		}
 	}
-}
-
-// Waitany blocks until at least one request completes and returns its
-// index. Completed requests keep their completed state; call it again with
-// the remaining requests to drain a set. An empty slice returns -1.
-func (p *Proc) Waitany(reqs []*Request) int {
-	if len(reqs) == 0 {
-		return -1
-	}
-	gates := make([]*sim.Gate, len(reqs))
-	for i, r := range reqs {
-		gates[i] = r.done
-	}
-	return p.sp.WaitAny(gates...)
-}
-
-// Waitsome blocks until at least one request completes, then returns the
-// indices of all completed requests.
-func (p *Proc) Waitsome(reqs []*Request) []int {
-	first := p.Waitany(reqs)
-	if first < 0 {
-		return nil
-	}
-	var out []int
-	for i, r := range reqs {
-		if r.done.Fired() {
-			out = append(out, i)
-		}
-	}
-	return out
 }

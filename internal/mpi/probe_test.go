@@ -63,37 +63,17 @@ func TestWaitanyReturnsFirstCompletion(t *testing.T) {
 				c.Irecv(0, 0, F64(make([]float64, 1))),
 				c.Irecv(1, 1, F64(make([]float64, 1))),
 			}
-			idx := p.Waitany(reqs)
+			idx := p.sp.WaitAny(reqs[0].done, reqs[1].done)
 			if idx != 1 {
-				t.Errorf("Waitany returned %d, want 1 (the earlier sender)", idx)
+				t.Errorf("WaitAny returned %d, want 1 (the earlier sender)", idx)
 			}
 			Waitall(reqs...)
 		}
 	})
 	// Empty set.
 	runJob(t, 1, 1, func(p *Proc) {
-		if p.Waitany(nil) != -1 {
-			t.Error("Waitany(nil) != -1")
-		}
-	})
-}
-
-func TestWaitsomeCollectsAllDone(t *testing.T) {
-	runJob(t, 2, 2, func(p *Proc) {
-		c := p.World()
-		if p.Rank() == 0 {
-			c.Send(1, 0, F64([]float64{0}))
-			c.Send(1, 1, F64([]float64{1}))
-		} else {
-			p.Sleep(1e-3) // both messages land
-			reqs := []*Request{
-				c.Irecv(0, 0, F64(make([]float64, 1))),
-				c.Irecv(0, 1, F64(make([]float64, 1))),
-			}
-			done := p.Waitsome(reqs)
-			if len(done) != 2 {
-				t.Errorf("Waitsome got %v, want both", done)
-			}
+		if p.sp.WaitAny() != -1 {
+			t.Error("WaitAny() != -1")
 		}
 	})
 }

@@ -55,13 +55,6 @@ func TestProgressRankRedirect(t *testing.T) {
 			}
 		})
 
-	// The highest lane on each node is the agent.
-	for r, want := range map[int]bool{0: false, 1: true, 2: false, 3: true} {
-		if got := w.IsProgressRank(r); got != want {
-			t.Errorf("IsProgressRank(%d) = %v, want %v", r, got, want)
-		}
-	}
-
 	var nicBusy [4]float64
 	var cpuStats [4]sim.ResourceStats
 	w.EachEndpoint(func(rank int, ep *simnet.Endpoint) {
@@ -71,6 +64,12 @@ func TestProgressRankRedirect(t *testing.T) {
 	if nicBusy[0] != 0 || nicBusy[2] != 0 {
 		t.Errorf("sibling NIC lanes still busy under progress ranks: tx %g, rx %g",
 			nicBusy[0], nicBusy[2])
+	}
+	// The highest lane on each node is the agent: only its CPU takes
+	// tagged work.
+	if cpuStats[0].TaggedBusy != 0 || cpuStats[2].TaggedBusy != 0 {
+		t.Errorf("non-agent CPUs carry tagged work: rank 0 %g, rank 2 %g",
+			cpuStats[0].TaggedBusy, cpuStats[2].TaggedBusy)
 	}
 	if got := cpuStats[1].ByConsumer["ep0.nic"]; got <= 0 {
 		t.Errorf("node-0 agent CPU has no tagged work for rank 0's pipeline: %+v", cpuStats[1])
@@ -160,7 +159,7 @@ func TestProgressEagerWake(t *testing.T) {
 }
 
 // TestWaittimeoutUnderProgressEngine is the PR 3 stale-waiter regression
-// probe for the progress path: a parked owner blocked in Waittimeout whose
+// probe for the progress path: a parked owner blocked in a timed wait whose
 // request is completed by transfer work running on a progress agent's CPU
 // must wake at the completion time, well before its deadline — and a
 // deadline that does expire must fire exactly on time and leave the request
@@ -182,11 +181,11 @@ func TestWaittimeoutUnderProgressEngine(t *testing.T) {
 			case 0:
 				req := c.Irecv(2, 1, F64(make([]float64, len(payload))))
 				// First deadline expires before the sender even starts.
-				firstTry = req.Waittimeout(1e-3)
+				firstTry = p.sp.WaitTimeout(req.done, 1e-3)
 				firstAt = p.Now()
 				// Second deadline is far past the completion; the wake must
 				// come at completion time, not at the deadline.
-				secondTry = req.Waittimeout(0.5)
+				secondTry = p.sp.WaitTimeout(req.done, 0.5)
 				secondAt = p.Now()
 			case 2:
 				p.Sleep(sendDelay)
@@ -194,13 +193,13 @@ func TestWaittimeoutUnderProgressEngine(t *testing.T) {
 			}
 		})
 	if firstTry {
-		t.Error("first Waittimeout completed before any send was posted")
+		t.Error("first timed wait completed before any send was posted")
 	}
 	if firstAt != 1e-3 {
 		t.Errorf("expired deadline fired at %.6fs, want exactly 0.001s", firstAt)
 	}
 	if !secondTry {
-		t.Error("second Waittimeout timed out despite a completed transfer")
+		t.Error("second timed wait timed out despite a completed transfer")
 	}
 	if secondAt >= 0.1 {
 		t.Errorf("owner woke at %.6fs — deadline-late wake (stale waiter), expected ~transfer completion", secondAt)

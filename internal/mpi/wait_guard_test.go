@@ -85,13 +85,12 @@ func TestProbeSpinsMetric(t *testing.T) {
 	}
 }
 
-// TestWaittimeoutExpiresThenCompletes checks the deadline-aware wait: an
-// expired wait reports false, leaves the request open and the rank free to
-// do other work, and a later wait on the same request still completes.
+// TestWaittimeoutExpiresThenCompletes checks a timed wait on a request's
+// completion gate: an expired wait reports false, leaves the request open
+// and the rank free to do other work, and a later wait on the same request
+// still completes.
 func TestWaittimeoutExpiresThenCompletes(t *testing.T) {
 	eng, w := buildWorld(t, 2, 2)
-	reg := &metrics.Registry{}
-	w.SetMetrics(reg)
 	w.Launch(func(p *Proc) {
 		c := p.World()
 		if p.Rank() == 0 {
@@ -100,17 +99,17 @@ func TestWaittimeoutExpiresThenCompletes(t *testing.T) {
 			return
 		}
 		req := c.Irecv(0, 8, Phantom(256))
-		if req.Waittimeout(1e-3) {
-			t.Error("Waittimeout completed before the sender even started")
+		if p.sp.WaitTimeout(req.done, 1e-3) {
+			t.Error("timed wait completed before the sender even started")
 		}
 		if p.Now() < 1e-3 {
-			t.Errorf("expired Waittimeout returned at %g, before its deadline", p.Now())
+			t.Errorf("expired timed wait returned at %g, before its deadline", p.Now())
 		}
 		if req.Test() {
 			t.Error("request completed while the sender was still sleeping")
 		}
-		if !req.Waittimeout(10) {
-			t.Error("second Waittimeout did not complete")
+		if !p.sp.WaitTimeout(req.done, 10) {
+			t.Error("second timed wait did not complete")
 		}
 		if p.Now() < 5e-3 {
 			t.Errorf("receive completed at %g, before the send at 5 ms", p.Now())
@@ -123,33 +122,6 @@ func TestWaittimeoutExpiresThenCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := w.CheckClean(); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Value("mpi.wait.timeouts", ""); got != 1 {
-		t.Errorf("mpi.wait.timeouts = %g, want 1", got)
-	}
-}
-
-// TestWaitdeadline checks the absolute-time variant, including a deadline
-// already in the past (an immediate poll).
-func TestWaitdeadline(t *testing.T) {
-	eng, w := buildWorld(t, 2, 2)
-	w.Launch(func(p *Proc) {
-		c := p.World()
-		if p.Rank() == 0 {
-			p.Sleep(2e-3)
-			c.Send(1, 9, Phantom(64))
-			return
-		}
-		req := c.Irecv(0, 9, Phantom(64))
-		if req.Waitdeadline(p.Now() - 1) {
-			t.Error("past deadline reported completion")
-		}
-		if !req.Waitdeadline(p.Now() + 1) {
-			t.Error("generous deadline did not complete")
-		}
-	})
-	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 }

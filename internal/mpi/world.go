@@ -147,8 +147,6 @@ type rankState struct {
 	sendSeq map[pairKey]int64 // next seq to assign, per (ctx, dst world rank)
 	recvSeq map[pairKey]int64 // next seq to admit, per (ctx, src comm rank)
 	held    []*inflight       // envelopes that arrived ahead of their turn
-
-	isProg bool // this rank serves as a progress agent for its node
 }
 
 // NewWorld creates size ranks placed on nodes according to placement
@@ -160,6 +158,11 @@ func NewWorld(net *simnet.Net, size int, placement []int) (*World, error) {
 	}
 	if placement != nil && len(placement) != size {
 		return nil, fmt.Errorf("mpi: placement has %d entries for %d ranks", len(placement), size)
+	}
+	for r, node := range placement {
+		if node < 0 || node >= net.Cfg.Nodes {
+			return nil, fmt.Errorf("mpi: placement[%d] = node %d, out of range [0, %d)", r, node, net.Cfg.Nodes)
+		}
 	}
 	w := &World{
 		Eng:              net.Eng,
@@ -291,14 +294,6 @@ func (w *World) ResourceSnapshots() []sim.ResourceStats {
 	return out
 }
 
-// PendingRequests reports the number of posted requests that have not
-// completed.
-func (w *World) PendingRequests() int { return len(w.open) }
-
-// ParkStats reports how many ranks RunActive has parked and how many of
-// those have been woken again.
-func (w *World) ParkStats() (parks, wakes int) { return w.parks, w.wakes }
-
 // EachEndpoint visits every rank's fabric endpoint in rank order. The
 // fault-injection layer uses it to install per-lane perturbation hooks with
 // the rank and node identity preserved (EachResource flattens that away).
@@ -401,7 +396,6 @@ func (w *World) wireProgressLanes() {
 		}
 		lanes := make([]*sim.Resource, 0, nprog)
 		for _, st := range sts[len(sts)-nprog:] {
-			st.isProg = true
 			lanes = append(lanes, st.ep.CPU)
 		}
 		for _, st := range sts[:len(sts)-nprog] {
@@ -409,10 +403,6 @@ func (w *World) wireProgressLanes() {
 		}
 	}
 }
-
-// IsProgressRank reports whether a world rank serves as a progress agent
-// (only possible after Launch on a World with Progress > 0).
-func (w *World) IsProgressRank(rank int) bool { return w.ranks[rank].isProg }
 
 // Launch spawns one simulation process per rank running body. Call
 // Engine.Run afterwards to execute the job.
@@ -448,10 +438,6 @@ func (p *Proc) Now() float64 { return p.sp.Now() }
 
 // Node returns the node this rank lives on.
 func (p *Proc) Node() int { return p.st.ep.Node }
-
-// IsProgressRank reports whether this rank serves as a progress agent for
-// its node's sibling ranks.
-func (p *Proc) IsProgressRank() bool { return p.st.isProg }
 
 // World returns the communicator spanning all ranks.
 func (p *Proc) World() *Comm { return p.world }

@@ -110,9 +110,6 @@ func (s Spec) Validate() error {
 	return fmt.Errorf("progress: unknown mode %d", s.Mode)
 }
 
-// On reports whether any engine is enabled.
-func (s Spec) On() bool { return s.Mode != Off }
-
 // LanesNeeded reports how many per-node rank lanes the mode consumes on top
 // of the active ones: Ranks-mode agents must come out of the launched (and
 // otherwise parked) lanes, while the offload engine is hardware and needs

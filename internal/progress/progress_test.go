@@ -77,7 +77,4 @@ func TestLanesNeeded(t *testing.T) {
 	if n := MustParse("").LanesNeeded(); n != 0 {
 		t.Errorf("off lanes = %d, want 0", n)
 	}
-	if MustParse("").On() || !MustParse("dma").On() || !MustParse("rank1").On() {
-		t.Error("On() mode classification wrong")
-	}
 }

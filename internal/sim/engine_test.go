@@ -147,7 +147,7 @@ func TestGateDoubleFireIsNoop(t *testing.T) {
 	e := NewEngine()
 	g := e.NewGate()
 	n := 0
-	g.OnFire(func() { n++ })
+	g.OnFireArg(func(any) { n++ }, nil)
 	e.Spawn("firer", func(p *Proc) {
 		g.Fire()
 		p.Sleep(1)
@@ -168,7 +168,7 @@ func TestGateCallbackChaining(t *testing.T) {
 	e := NewEngine()
 	g1 := e.NewGate()
 	g2 := e.NewGate()
-	g1.OnFire(func() { g2.Fire() })
+	g1.OnFireArg(func(any) { g2.Fire() }, nil)
 	var wokeAt float64 = -1
 	e.Spawn("waiter", func(p *Proc) {
 		p.Wait(g2)

@@ -13,14 +13,12 @@ type Gate struct {
 	cbs     []gateCB
 }
 
-// gateCB is one registered fire callback: either a plain closure (fn) or a
-// static function plus argument (afn, arg). The latter form lets hot paths
-// register callbacks without allocating a closure per registration — the
-// function value is a package-level variable and the argument is an object
-// the caller already owns.
+// gateCB is one registered fire callback: a static function plus its
+// argument. Hot paths register callbacks without allocating a closure per
+// registration — the function value is a package-level variable and the
+// argument is an object the caller already owns.
 type gateCB struct {
-	fn  func()
-	afn func(any)
+	fn  func(any)
 	arg any
 }
 
@@ -40,7 +38,7 @@ func (e *Engine) NewGate() *Gate {
 // FreeGate returns a gate to the engine's free list for reuse by a later
 // NewGate. The caller must guarantee no reference to the gate survives: it
 // has fired (or will never fire), its waiters have been woken, and nobody
-// will call Wait/OnFire/Fired on it again. The MPI request pool is the
+// will call Wait/OnFireArg/Fired on it again. The MPI request pool is the
 // intended caller; misuse shows up as a waiter parked forever on a recycled
 // gate, which Engine.Run reports as a deadlock.
 func (e *Engine) FreeGate(g *Gate) {
@@ -74,16 +72,12 @@ func (g *Gate) Fire() {
 	g.fired = true
 	g.t = g.eng.now
 	// Detach the callback list before running it (a callback registering on
-	// this gate re-enters OnFire, which runs immediately once fired), then
+	// this gate re-enters OnFireArg, which runs immediately once fired), then
 	// hand the cleared backing array back so a recycled gate keeps capacity.
 	cbs := g.cbs
 	g.cbs = nil
 	for _, cb := range cbs {
-		if cb.fn != nil {
-			cb.fn()
-		} else {
-			cb.afn(cb.arg)
-		}
+		cb.fn(cb.arg)
 	}
 	for i := range cbs {
 		cbs[i] = gateCB{}
@@ -103,28 +97,18 @@ func (g *Gate) Fire() {
 	g.waiters = ws[:0]
 }
 
-// OnFire registers cb to run when the gate fires. If the gate has already
-// fired, cb runs immediately. Callbacks must not block: they execute inside
-// whatever process happens to fire the gate.
-func (g *Gate) OnFire(cb func()) {
-	if g.fired {
-		cb()
-		return
-	}
-	g.cbs = append(g.cbs, gateCB{fn: cb})
-}
-
-// OnFireArg registers cb(arg) to run when the gate fires. Unlike OnFire,
-// passing a package-level function value plus an argument the caller already
-// owns allocates nothing: the argument travels in the callback slot rather
-// than a captured closure environment. If the gate has already fired, cb runs
-// immediately.
+// OnFireArg registers cb(arg) to run when the gate fires. Passing a
+// package-level function value plus an argument the caller already owns
+// allocates nothing: the argument travels in the callback slot rather than
+// a captured closure environment. If the gate has already fired, cb runs
+// immediately. Callbacks must not block: they execute inside whatever
+// process happens to fire the gate.
 func (g *Gate) OnFireArg(cb func(any), arg any) {
 	if g.fired {
 		cb(arg)
 		return
 	}
-	g.cbs = append(g.cbs, gateCB{afn: cb, arg: arg})
+	g.cbs = append(g.cbs, gateCB{fn: cb, arg: arg})
 }
 
 // Wait blocks p until the gate fires. Returns immediately if already fired.

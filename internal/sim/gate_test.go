@@ -214,9 +214,9 @@ func TestGateOnFireAfterFiredRunsInline(t *testing.T) {
 	ran := false
 	e.Spawn("a", func(p *Proc) {
 		g.Fire()
-		g.OnFire(func() { ran = true })
+		g.OnFireArg(func(any) { ran = true }, nil)
 		if !ran {
-			t.Error("OnFire on fired gate did not run inline")
+			t.Error("OnFireArg on fired gate did not run inline")
 		}
 	})
 	if err := e.Run(); err != nil {

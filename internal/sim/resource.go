@@ -76,14 +76,6 @@ func (s ResourceStats) Utilization(elapsed float64) float64 {
 	return s.BusyTime / elapsed
 }
 
-// MeanQueueWait reports the average start-ready delay per reservation.
-func (s ResourceStats) MeanQueueWait() float64 {
-	if s.Reservations == 0 {
-		return 0
-	}
-	return s.QueueWait / float64(s.Reservations)
-}
-
 // NewResource returns an idle resource available from time zero.
 func NewResource(name string) *Resource { return &Resource{Name: name} }
 
@@ -144,9 +136,6 @@ func (r *Resource) ReserveAs(consumer string, ready, dur float64) (start, done f
 	return start, done
 }
 
-// NextFree reports the earliest time a new reservation could start.
-func (r *Resource) NextFree() float64 { return r.free }
-
 // BusyTime reports the total time the resource has been reserved.
 func (r *Resource) BusyTime() float64 { return r.stats.BusyTime }
 
@@ -162,10 +151,4 @@ func (r *Resource) Snapshot() ResourceStats {
 		}
 	}
 	return s
-}
-
-// Reset clears the reservation state (used between benchmark repetitions).
-func (r *Resource) Reset() {
-	r.free = 0
-	r.stats = ResourceStats{}
 }

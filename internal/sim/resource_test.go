@@ -41,9 +41,6 @@ func TestResourceSnapshotAccounting(t *testing.T) {
 	if st.FirstStart != 0 || st.LastDone != 8 {
 		t.Errorf("window [%g,%g], want [0,8]", st.FirstStart, st.LastDone)
 	}
-	if got := st.MeanQueueWait(); math.Abs(got-1.0/3) > 1e-15 {
-		t.Errorf("mean queue wait = %g, want 1/3", got)
-	}
 
 	// busy + idle == elapsed for any window covering the run.
 	for _, elapsed := range []float64{8, 10, 100} {
@@ -140,32 +137,5 @@ func TestResourceConsumerAccounting(t *testing.T) {
 	q.Reserve(0, 1)
 	if qs := q.Snapshot(); qs.ByConsumer != nil || qs.TaggedBusy != 0 {
 		t.Errorf("untagged resource grew consumer state: %+v", qs)
-	}
-}
-
-func TestResourceResetClearsStats(t *testing.T) {
-	r := NewResource("nic")
-	r.Reserve(0, 4)
-	r.Reserve(1, 2)
-	r.Reset()
-	st := r.Snapshot()
-	if st.Reservations != 0 || st.BusyTime != 0 || st.QueueWait != 0 ||
-		st.PeakBacklog != 0 || st.FirstStart != 0 || st.LastDone != 0 {
-		t.Errorf("reset left stats behind: %+v", st)
-	}
-	if r.NextFree() != 0 {
-		t.Errorf("reset left free = %g", r.NextFree())
-	}
-	if st.Name != "nic" {
-		t.Errorf("name lost on reset: %q", st.Name)
-	}
-}
-
-func TestResourceReset(t *testing.T) {
-	r := NewResource("x")
-	r.Reserve(0, 5)
-	r.Reset()
-	if r.NextFree() != 0 || r.BusyTime() != 0 {
-		t.Errorf("reset did not clear: free=%g busy=%g", r.NextFree(), r.BusyTime())
 	}
 }

@@ -20,15 +20,6 @@ type TieBreak interface {
 	Choose(n int) int
 }
 
-// FIFO returns the default policy: among tied events, run the one scheduled
-// first. It reproduces the engine's behavior with no policy installed.
-func FIFO() TieBreak { return fifoTB{} }
-
-type fifoTB struct{}
-
-func (fifoTB) Name() string     { return "fifo" }
-func (fifoTB) Choose(n int) int { return 0 }
-
 // LIFO returns the adversarial policy: among tied events, run the one
 // scheduled last. It maximally inverts same-instant ordering, which flushes
 // out code that silently relies on schedule order.

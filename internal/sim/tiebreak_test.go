@@ -31,6 +31,15 @@ func runOrder(t *testing.T, tb TieBreak, n int) []int {
 	return order
 }
 
+// FIFO returns the default policy: among tied events, run the one scheduled
+// first. It reproduces the engine's behavior with no policy installed.
+func FIFO() TieBreak { return fifoTB{} }
+
+type fifoTB struct{}
+
+func (fifoTB) Name() string     { return "fifo" }
+func (fifoTB) Choose(n int) int { return 0 }
+
 func TestTieBreakFIFOMatchesDefault(t *testing.T) {
 	def := runOrder(t, nil, 6)
 	fifo := runOrder(t, FIFO(), 6)

@@ -147,7 +147,7 @@ func TestNilRegistryFullTransfer(t *testing.T) {
 		c := n.NewEndpoint(0)
 		_, inter := n.Transfer(a, b, 1<<20)
 		_, intra := n.Transfer(a, c, 1<<20)
-		_, bulk := n.TransferBulk(a, b, 1<<20)
+		_, bulk := transferBulk(n, a, b, 1<<20)
 		p.Wait(inter)
 		p.Wait(intra)
 		p.Wait(bulk)

@@ -61,7 +61,7 @@ func FuzzChunking(f *testing.F) {
 		injA, delA := net.Transfer(src, dstA, sizeA)
 		var injB, delB *sim.Gate
 		if bulkB {
-			injB, delB = net.TransferBulk(src, dstB, sizeB)
+			injB, delB = transferBulk(net, src, dstB, sizeB)
 		} else {
 			injB, delB = net.Transfer(src, dstB, sizeB)
 		}
@@ -87,7 +87,7 @@ func FuzzChunking(f *testing.F) {
 		if !intraA {
 			wantWire += sizeA
 		}
-		if got := net.WireBytes(0); got != wantWire {
+		if got := net.nodes[0].egressBytes; got != wantWire {
 			t.Errorf("egress wire carried %d bytes, want %d (chunking lost or invented data)", got, wantWire)
 		}
 		if got := net.TotalWireBytes(); got != wantWire {

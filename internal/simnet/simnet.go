@@ -260,10 +260,6 @@ func (ep *Endpoint) SetProgressLanes(lanes []*sim.Resource, byteRate float64) {
 	ep.progIdx = 0
 }
 
-// ProgressLanes reports the endpoint's current progress-lane group and byte
-// rate (nil, 0 when chunk forwarding runs on the endpoint's own NIC lane).
-func (ep *Endpoint) ProgressLanes() ([]*sim.Resource, float64) { return ep.prog, ep.progRate }
-
 // nicStage books one chunk-pipeline stage (overhead seconds plus bytes at
 // rate) for the endpoint: on its private NIC lane by default, or on the
 // next progress lane in round-robin order when a group is installed.
@@ -373,16 +369,9 @@ func (n *Net) EachWire(f func(node int, egress, ingress *sim.Resource)) {
 	}
 }
 
-// WireBusyTime returns the cumulative egress occupancy of a node's wire,
-// for utilization accounting in benchmarks.
-func (n *Net) WireBusyTime(node int) float64 { return n.nodes[node].egress.BusyTime() }
-
-// WireBytes returns the cumulative payload bytes a node's egress wire has
-// carried (inter-node traffic only; shared-memory traffic is not counted).
-func (n *Net) WireBytes(node int) int64 { return n.nodes[node].egressBytes }
-
-// TotalWireBytes sums WireBytes over all nodes: the machine-wide inter-node
-// communication volume, the quantity the paper's Table IV estimates.
+// TotalWireBytes sums the payload bytes every node's egress wire has
+// carried (inter-node traffic only; shared-memory traffic is not counted):
+// the machine-wide communication volume the paper's Table IV estimates.
 func (n *Net) TotalWireBytes() int64 {
 	var t int64
 	for i := range n.nodes {
@@ -411,18 +400,6 @@ func (n *Net) Transfer(src, dst *Endpoint, size int64) (injected, delivered *sim
 	return injected, delivered
 }
 
-// TransferBulk is the zero-copy (rendezvous/DMA) path: the wire bears the
-// per-byte cost while the endpoints' CPUs pay only a small residual per-byte
-// rate (DMARate) plus the per-chunk overheads. The MPI layer routes
-// rendezvous payloads here; eager messages, which are copied through
-// bounce buffers, use Transfer.
-func (n *Net) TransferBulk(src, dst *Endpoint, size int64) (injected, delivered *sim.Gate) {
-	injected = n.Eng.NewGate()
-	delivered = n.Eng.NewGate()
-	n.transfer(src, dst, size, n.Cfg.DMARate, fireGateCB, injected, fireGateCB, delivered)
-	return injected, delivered
-}
-
 // fireGateCB adapts the callback-based transfer core to the gate-returning
 // public API: a package-level function value, so registering it allocates no
 // closure.
@@ -439,8 +416,11 @@ func (n *Net) TransferFn(src, dst *Endpoint, size int64, onInjected func(any), i
 	n.transfer(src, dst, size, n.Cfg.CPUCopyRate, onInjected, injArg, onDelivered, delArg)
 }
 
-// TransferBulkFn is TransferBulk with completion callbacks instead of gates;
-// see TransferFn.
+// TransferBulkFn is the zero-copy (rendezvous/DMA) path: the wire bears
+// the per-byte cost while the endpoints' CPUs pay only a small residual
+// per-byte rate (DMARate) plus the per-chunk overheads. The MPI layer
+// routes rendezvous payloads here; eager messages, which are copied
+// through bounce buffers, use TransferFn. Callbacks are as for TransferFn.
 func (n *Net) TransferBulkFn(src, dst *Endpoint, size int64, onInjected func(any), injArg any, onDelivered func(any), delArg any) {
 	n.transfer(src, dst, size, n.Cfg.DMARate, onInjected, injArg, onDelivered, delArg)
 }

@@ -99,6 +99,15 @@ func TestZeroByteTransferHasLatency(t *testing.T) {
 
 // bwOf measures steady-state bandwidth of nstreams concurrent transfers of
 // size bytes each between distinct endpoint pairs on two nodes.
+// transferBulk runs TransferBulkFn, the path the MPI layer uses, and
+// returns gates that fire at injection and delivery.
+func transferBulk(n *Net, src, dst *Endpoint, size int64) (injected, delivered *sim.Gate) {
+	injected = n.Eng.NewGate()
+	delivered = n.Eng.NewGate()
+	n.TransferBulkFn(src, dst, size, fireGateCB, injected, fireGateCB, delivered)
+	return injected, delivered
+}
+
 func bwOf(t *testing.T, nstreams int, size int64) float64 {
 	t.Helper()
 	var total float64
@@ -175,8 +184,8 @@ func TestIntraNodeTransfer(t *testing.T) {
 		_, d := n.Transfer(a, b, 1<<20)
 		p.Wait(d)
 	})
-	if n2.WireBusyTime(0) != 0 {
-		t.Errorf("intra-node transfer used the wire: busy=%g", n2.WireBusyTime(0))
+	if n2.nodes[0].egress.BusyTime() != 0 {
+		t.Errorf("intra-node transfer used the wire: busy=%g", n2.nodes[0].egress.BusyTime())
 	}
 }
 
@@ -317,7 +326,7 @@ func TestCoreOversubscriptionThrottles(t *testing.T) {
 			var gates []*sim.Gate
 			for pair := 0; pair < 4; pair++ {
 				a, b := n.NewEndpoint(pair), n.NewEndpoint(pair+4)
-				_, d := n.TransferBulk(a, b, 8<<20)
+				_, d := transferBulk(n, a, b, 8<<20)
 				gates = append(gates, d)
 			}
 			p.WaitAll(gates...)
@@ -353,7 +362,7 @@ func TestUtilization(t *testing.T) {
 	a, b := n.NewEndpoint(0), n.NewEndpoint(1)
 	var end float64
 	eng.Spawn("d", func(p *sim.Proc) {
-		_, d := n.TransferBulk(a, b, 8<<20)
+		_, d := transferBulk(n, a, b, 8<<20)
 		p.Wait(d)
 		end = p.Now()
 	})

@@ -82,7 +82,7 @@ func FuzzTopologyRoute(f *testing.F) {
 			if i == 0 {
 				inj, del = net.Transfer(a, b, fl.size)
 			} else {
-				inj, del = net.TransferBulk(a, b, fl.size)
+				inj, del = transferBulk(net, a, b, fl.size)
 			}
 			gates = append(gates, [2]*sim.Gate{inj, del})
 		}

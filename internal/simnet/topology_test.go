@@ -160,8 +160,8 @@ func TestHierUplinkContention(t *testing.T) {
 			a0, b0 := n.NewEndpoint(0), n.NewEndpoint(2)
 			a1, b1 := n.NewEndpoint(src2), n.NewEndpoint(dst2)
 			t0 := p.Now()
-			_, d1 := n.TransferBulk(a0, b0, size)
-			_, d2 := n.TransferBulk(a1, b1, size)
+			_, d1 := transferBulk(n, a0, b0, size)
+			_, d2 := transferBulk(n, a1, b1, size)
 			p.Wait(d1)
 			p.Wait(d2)
 			dt = p.Now() - t0

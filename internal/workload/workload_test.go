@@ -7,6 +7,9 @@ import (
 	"commoverlap/internal/runner"
 )
 
+// Patterns returns the pattern family in canonical order.
+func Patterns() []Pattern { return []Pattern{DataParallel, ZeRO, Pipeline} }
+
 // smallSpec is a quick variant of a pattern sized to run in milliseconds.
 func smallSpec(pat Pattern, overlap bool) Spec {
 	return Spec{

@@ -58,12 +58,10 @@ func handWiredCalls(fset *token.FileSet, f *ast.File) []string {
 	return hits
 }
 
-// scanHandWired walks the non-test Go files under root, skipping the
-// directories skip accepts, and collects their hand-wired world calls.
-func scanHandWired(t *testing.T, root string, skip func(dir string) bool) []string {
+// walkGo parses every Go file under root, skipping the directories skip
+// accepts, and hands each to visit together with whether it is a test file.
+func walkGo(t *testing.T, fset *token.FileSet, root string, skip func(dir string) bool, visit func(p string, f *ast.File, test bool)) {
 	t.Helper()
-	fset := token.NewFileSet()
-	var hits []string
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -74,19 +72,38 @@ func scanHandWired(t *testing.T, root string, skip func(dir string) bool) []stri
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		if !strings.HasSuffix(p, ".go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		hits = append(hits, handWiredCalls(fset, f)...)
+		visit(p, f, strings.HasSuffix(p, "_test.go"))
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// skipHidden skips testdata and dot directories (build outputs, VCS).
+func skipHidden(dir string) bool {
+	base := filepath.Base(dir)
+	return base == "testdata" || strings.HasPrefix(base, ".")
+}
+
+// scanHandWired collects the hand-wired world calls of the non-test Go
+// files under root, skipping the directories skip accepts.
+func scanHandWired(t *testing.T, root string, skip func(dir string) bool) []string {
+	t.Helper()
+	fset := token.NewFileSet()
+	var hits []string
+	walkGo(t, fset, root, skip, func(_ string, f *ast.File, test bool) {
+		if !test {
+			hits = append(hits, handWiredCalls(fset, f)...)
+		}
+	})
 	return hits
 }
 
@@ -98,8 +115,7 @@ func scanHandWired(t *testing.T, root string, skip func(dir string) bool) []stri
 func TestOneMachinePath(t *testing.T) {
 	machineDir := filepath.Join("internal", "machine")
 	skip := func(dir string) bool {
-		base := filepath.Base(dir)
-		if dir == machineDir || base == "testdata" || strings.HasPrefix(base, ".") {
+		if dir == machineDir || skipHidden(dir) {
 			return true
 		}
 		_, err := os.Stat(filepath.Join(dir, "go.mod")) // a nested module
